@@ -17,9 +17,11 @@ import sys
 from . import __version__
 from .algebroid import chern_weil, invariant_sections, make_algebroid
 from .char_classes import char_class_report, surjectivity_check
-from .cohomology import TwistedCochain, cohomology, fundamental_cocycle
+# ``cohomology`` is not called here, but bench/test_oracles.py reaches the
+# cohomology module's namespace through ``cli.cohomology``.
+from .cohomology import TwistedCochain, cohomology, cohomology_dims, fundamental_cocycle  # noqa: F401
 from .complexes import Complex
-from .errors import AlgebroidError, InputError, SchemaError
+from .errors import AlgebroidError, DegreeError, InputError, SchemaError
 from .jsonio import (
     SCHEMA_VERSION,
     algebroid_from_json,
@@ -139,15 +141,16 @@ def cmd_validate(args) -> int:
 def cmd_cohomology(args) -> int:
     c = resolve_complex_spec(args.complex)
     L = _load_system(args, c)
-    if args.degree is not None:
-        degrees = [args.degree]
-    else:
+    if args.degree is None:
         degrees = list(range(c.dimension + 1))
-    dims = {}
-    for n in degrees:
-        space = cohomology(L, n)
-        dims[n] = space.dimension
-        _note(f"H^{n}: dimension {space.dimension}")
+    elif args.degree < 0:
+        raise DegreeError("cohomology degree must be nonnegative")
+    else:
+        degrees = [args.degree]
+    all_dims = cohomology_dims(L, up_to=degrees[-1])
+    dims = {n: all_dims[n] for n in degrees}
+    for n, d in dims.items():
+        _note(f"H^{n}: dimension {d}")
     _emit(
         args,
         {
@@ -155,7 +158,7 @@ def cmd_cohomology(args) -> int:
             "rank": L.rank,
             "dims": {str(n): d for n, d in dims.items()},
         },
-        [" ".join(f"H{n}={dims[n]}" for n in degrees)],
+        [" ".join(f"H{n}={d}" for n, d in dims.items())],
     )
     return 0
 
@@ -318,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_complex_arg(p)
     _add_rep_args(p)
     p.add_argument("--degree", type=int, help="single degree (default: all)")
-    p.add_argument(
-        "--all-degrees", action="store_true", help="all degrees up to the base dimension"
-    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cohomology)
 
@@ -355,9 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "validate" and not args.complex and not args.algebroid:
             raise InputError("validate needs --complex or --algebroid")

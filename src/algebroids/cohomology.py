@@ -10,8 +10,8 @@ coboundary transports the front face back to that vertex:
 
 d squares to zero exactly when the system is flat.  Everything here is exact
 rational linear algebra: kernels, images and quotient representatives come
-from the linalg module with deterministic pivoting, so bases are stable
-across runs.
+from the reduced row echelon forms of the linalg module, which are unique,
+so bases are stable across runs.  Dimensions alone need only ranks.
 """
 
 from __future__ import annotations
@@ -166,27 +166,31 @@ def coboundary(phi: TwistedCochain) -> TwistedCochain:
 
 
 def coboundary_matrix(L: LocalSystem, n: int) -> Matrix:
-    """Matrix of d_n : C^n -> C^{n+1} in the flattened coordinate bases."""
+    """Matrix of d_n : C^n -> C^{n+1} in the flattened coordinate bases,
+    assembled from its nonzeros: per (n+1)-simplex tau, the transport block
+    T(tau_0, tau_1) at the front face and (-1)^i times the identity at the
+    face without tau_i.  The faces are distinct, so no entry is written
+    twice."""
     base = L.base
     r = L.rank
     src = base.simplices_of_dim(n)
     dst = base.simplices_of_dim(n + 1)
     col_of = {s: i for i, s in enumerate(src)}
-    rows = [[Fraction(0)] * (len(src) * r) for _ in range(len(dst) * r)]
-    for ti, tau in enumerate(dst):
-        t = L.matrix(tau[0], tau[1])
+    zero, one = Fraction(0), Fraction(1)
+    signs = (one, -one)
+    ncols = len(src) * r
+    rows = []
+    for tau in dst:
+        block = [[zero] * ncols for _ in range(r)]
         j0 = col_of[tau[1:]] * r
-        for a in range(r):
-            row = rows[ti * r + a]
-            for b in range(r):
-                row[j0 + b] += t.entries[a][b]
-        sign = -1
+        for a, entries in enumerate(L.matrix(tau[0], tau[1]).entries):
+            block[a][j0 : j0 + r] = entries
         for i in range(1, n + 2):
             j0 = col_of[tau[:i] + tau[i + 1 :]] * r
             for a in range(r):
-                rows[ti * r + a][j0 + a] += sign
-            sign = -sign
-    return Matrix(rows, cols=len(src) * r)
+                block[a][j0 + a] = signs[i % 2]
+        rows.extend(block)
+    return Matrix(rows, cols=ncols)
 
 
 def _matrix_from_columns(cols, height: int) -> Matrix:
@@ -297,23 +301,36 @@ def cohomology(L: LocalSystem, n: int) -> CohomologySpace:
 
 
 def cohomology_dims(L: LocalSystem, up_to: int | None = None) -> tuple:
-    """Dimensions (dim H^0, ..., dim H^d) with d the base dimension by
-    default."""
+    """Dimensions (dim H^0, ..., dim H^d), with d the base dimension by
+    default, from ranks alone:
+
+        dim H^n = dim C^n - rk d_n - rk d_{n-1},    rk d_{-1} = 0.
+
+    The formula needs d_n d_{n-1} = 0, which holds exactly when L is flat,
+    so flatness is checked first and a violation raises NotFlatError.  Each
+    d_n is built and ranked once; no representatives are chosen."""
     top = L.base.dimension if up_to is None else up_to
-    return tuple(cohomology(L, n).dimension for n in range(top + 1))
+    violations = check_flat(L)
+    if violations:
+        raise NotFlatError("system is not flat", triangles=violations)
+    dims = []
+    rank_prev = 0
+    for n in range(top + 1):
+        d_n = coboundary_matrix(L, n)
+        rank_n = d_n.rank()
+        dims.append(d_n.cols - rank_n - rank_prev)
+        rank_prev = rank_n
+    return tuple(dims)
 
 
 def untwisted_space(c: Complex, n: int) -> CohomologySpace:
-    """H^n with trivial rational coefficients, cached per complex."""
-    space = c._untwisted_spaces.get(n)
-    if space is None:
-        space = cohomology(trivial_system(c, 1), n)
-        c._untwisted_spaces[n] = space
-    return space
+    """H^n with trivial rational coefficients."""
+    return cohomology(trivial_system(c, 1), n)
 
 
 def untwisted_class(phi: TwistedCochain) -> CohomologyClass:
-    """The class of a closed untwisted rank-1 cochain in the cached basis."""
+    """The class of a closed untwisted rank-1 cochain in the basis of
+    ``untwisted_space``."""
     space = untwisted_space(phi.system.base, phi.degree)
     return space.class_of(phi)
 

@@ -43,7 +43,6 @@ class Complex:
         self.name = name
         self._sets = {n: frozenset(s) for n, s in self.simplices.items()}
         self._tree = None
-        self._untwisted_spaces = {}
 
     @property
     def edges(self) -> tuple:

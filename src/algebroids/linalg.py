@@ -6,9 +6,16 @@ the rational vector space spanned by the symbols log p for p prime.  All
 arithmetic is exact; there is no floating point and no tolerance anywhere in
 this package.
 
-Row reduction uses deterministic pivoting (leftmost column, first nonzero
-row), so ranks, kernels and quotient representatives are reproducible across
-runs and platforms.
+Matrices are stored dense, but all row reduction goes through one sparse
+kernel, ``_RowSpace``: rows are ``{column: nonzero}`` dicts kept in fully
+reduced row echelon form, each vector is reduced against them in a single
+pass, and each row's pivot is its leftmost nonzero.  ``rref``,
+``kernel_basis``, ``quotient_basis``, ``solve``, ``Matrix.rank`` and
+``Matrix.inverse`` are thin wrappers over it.  The reduced row echelon form
+of a matrix is unique, so ranks, pivots, the free-column kernel basis, the
+greedy quotient representatives and the zero-free-variable solutions are
+fixed by the input alone: they are reproducible across runs and platforms
+and do not depend on the order of elimination.
 """
 
 from __future__ import annotations
@@ -399,96 +406,104 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
+def _subtract(target: dict, f, row: dict) -> None:
+    """target -= f * row on sparse rows, in place; entries that cancel are
+    dropped, so every stored value is nonzero."""
+    for j, x in row.items():
+        y = target.get(j)
+        if y is None:
+            target[j] = -f * x
+        else:
+            y = y - f * x
+            if y:
+                target[j] = y
+            else:
+                del target[j]
+
+
+class _RowSpace:
+    """Sparse echelon accumulator: the one elimination kernel of the package.
+
+    Rows are ``{column: nonzero}`` dicts kept in fully reduced row echelon
+    form: each row's pivot is its leftmost nonzero and equals one, and no
+    other row has a nonzero in a pivot column.  A vector is reduced against
+    the rows in a single pass, and a new row is eliminated from the old rows
+    in its pivot column, so the form stays fully reduced after every
+    ``add``.  The reduced row echelon form of a span is unique, so the rows
+    do not depend on the order in which the vectors arrive.
+    """
+
+    def __init__(self, domain: Domain, vectors=()):
+        if not domain.is_field:
+            raise DomainMismatchError(
+                f"row reduction needs a field domain, {domain.name} is not one"
+            )
+        self.domain = domain
+        self.rows = {}  # pivot column -> row
+        for vec in vectors:
+            self.add(vec)
+
+    def reduce(self, vec) -> dict:
+        """The residue of vec modulo the row space: zero in every pivot
+        column, returned as a new sparse dict."""
+        v = {j: x for j, x in enumerate(vec) if x}
+        rows = self.rows
+        for p in [j for j in v if j in rows]:
+            _subtract(v, v[p], rows[p])
+        return v
+
+    def add(self, vec) -> bool:
+        """Add vec to the span; True when it was not in it already."""
+        residue = self.reduce(vec)
+        if not residue:
+            return False
+        p = min(residue)
+        inv = self.domain.one / residue[p]
+        new = {j: inv * x for j, x in residue.items()}
+        for row in self.rows.values():
+            f = row.get(p)
+            if f is not None:
+                _subtract(row, f, new)
+        self.rows[p] = new
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
+
+
 def rref(m: Matrix):
     """Reduced row echelon form.
 
-    Returns (rank, reduced matrix, pivot column indices).  Pivoting is
-    leftmost-column first-nonzero-row, which together with exact arithmetic
-    makes the result fully deterministic.
+    Returns (rank, reduced matrix, pivot column indices).  The reduced
+    matrix has the nonzero rows in pivot order followed by zero rows, so it
+    keeps the shape of m.
     """
-    if not m.domain.is_field:
-        raise DomainMismatchError(
-            f"row reduction needs a field domain, {m.domain.name} is not one"
-        )
+    space = _RowSpace(m.domain, m.entries)
     z = m.domain.zero
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if rows[i][c] != z:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = m.domain.one / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != z:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return r, Matrix(rows, m.domain, cols=nc), tuple(pivots)
+    pivots = tuple(sorted(space.rows))
+    rows = [[z] * m.cols for _ in range(m.rows)]
+    for dense, p in zip(rows, pivots):
+        for j, x in space.rows[p].items():
+            dense[j] = x
+    return len(pivots), Matrix(rows, m.domain, cols=m.cols), pivots
 
 
 def kernel_basis(m: Matrix) -> list:
     """Deterministic basis of the null space, one vector per free column."""
-    rank, red, pivots = rref(m)
+    space = _RowSpace(m.domain, m.entries)
     z, o = m.domain.zero, m.domain.one
-    pivot_set = set(pivots)
     basis = []
     for j in range(m.cols):
-        if j in pivot_set:
+        if j in space.rows:
             continue
         v = [z] * m.cols
         v[j] = o
-        for i, pc in enumerate(pivots):
-            v[pc] = -red.entries[i][j]
+        for p, row in space.rows.items():
+            x = row.get(j)
+            if x is not None:
+                v[p] = -x
         basis.append(tuple(v))
     return basis
-
-
-class _RowSpace:
-    """Incremental row-echelon accumulator used for rank and span tests."""
-
-    def __init__(self, domain: Domain):
-        self.domain = domain
-        self.rows = []  # list of (pivot index, normalized row)
-
-    def _reduce(self, vec):
-        z = self.domain.zero
-        v = list(vec)
-        for p, row in self.rows:
-            if v[p] != z:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        z = self.domain.zero
-        v = self._reduce(vec)
-        for p, x in enumerate(v):
-            if x != z:
-                inv = self.domain.one / x
-                row = [inv * y for y in v]
-                self.rows.append((p, row))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
-
-    def contains(self, vec) -> bool:
-        z = self.domain.zero
-        return all(x == z for x in self._reduce(vec))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def quotient_basis(z_vectors, b_vectors, domain: Domain = RATIONALS) -> list:
@@ -504,23 +519,15 @@ def quotient_basis(z_vectors, b_vectors, domain: Domain = RATIONALS) -> list:
     if len(lengths) > 1:
         raise InputError("vectors of unequal length")
 
-    span_z = _RowSpace(domain)
-    for v in z_vectors:
-        span_z.add(v)
+    span_z = _RowSpace(domain, z_vectors)
     for i, v in enumerate(b_vectors):
         if not span_z.contains(v):
             raise NotASubspaceError(
                 "second span is not contained in the first", vector_index=i
             )
 
-    accum = _RowSpace(domain)
-    for v in b_vectors:
-        accum.add(v)
-    reps = []
-    for v in z_vectors:
-        if accum.add(v):
-            reps.append(v)
-    return reps
+    accum = _RowSpace(domain, b_vectors)
+    return [v for v in z_vectors if accum.add(v)]
 
 
 def solve(m: Matrix, rhs: Sequence):
@@ -529,15 +536,10 @@ def solve(m: Matrix, rhs: Sequence):
     if len(rhs) != m.rows:
         raise InputError("right-hand side length does not match matrix rows")
     rhs = [m.domain.coerce(x) for x in rhs]
-    aug = Matrix(
-        [list(r) + [b] for r, b in zip(m.entries, rhs)] if m.rows else [],
-        m.domain,
-        cols=m.cols + 1,
-    )
-    _, red, pivots = rref(aug)
-    if m.cols in pivots:
+    space = _RowSpace(m.domain, (row + (b,) for row, b in zip(m.entries, rhs)))
+    if m.cols in space.rows:
         return None
     x = [m.domain.zero] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = red.entries[i][m.cols]
+    for p, row in space.rows.items():
+        x[p] = row.get(m.cols, m.domain.zero)
     return tuple(x)

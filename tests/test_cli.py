@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -71,6 +72,40 @@ def test_cohomology_untwisted_and_single_degree(run):
     )
     assert code == 0
     assert out.strip() == "H1=2"
+
+
+def test_cohomology_degree_out_of_range(run):
+    base = ("cohomology", "--complex", "builtin:torus", "--rep", "a=1,b=1")
+    code, out, err = run(*base, "--degree", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error [BAD_DEGREE]: cohomology degree must be nonnegative\n"
+    code, out, err = run(*base, "--degree", "5")
+    assert code == 0
+    assert out == "H5=0\n"
+    assert err == ""
+
+
+def test_a_query_leaves_no_cyclic_garbage(run):
+    """A query's complex, systems and spaces are freed by reference
+    counting alone: none of them sits in a reference cycle that only the
+    cycle collector could reclaim."""
+    gc.collect()
+    gc.garbage.clear()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _, _ = run(
+            "char-classes", "--check-surjectivity", "--complex", "builtin:torus",
+            "--rep", "a=2,b=3",
+        )
+        gc.collect()
+        leaked = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert code == 0
+    assert not leaked & {"Complex", "LocalSystem", "CohomologySpace"}
 
 
 def test_cohomology_json_is_deterministic(run):

@@ -123,6 +123,19 @@ def test_coboundary_squares_to_zero_randomized(torus, disk, circle6):
                 assert (m1 * m0).is_zero()
 
 
+def test_coboundary_matrix_acts_as_coboundary(torus, tet):
+    rng = random.Random(8)
+    for c in (torus, tet):
+        for rank in (1, 2, 3):
+            L = random_flat_system(rng, c, rank=rank)
+            for n in range(c.dimension + 1):
+                phi = random_cochain(rng, L, n)
+                m = coboundary_matrix(L, n)
+                assert (m.rows, m.cols) == (len(c.simplices_of_dim(n + 1)) * rank,
+                                            len(phi.vector()))
+                assert m.apply(phi.vector()) == coboundary(phi).vector()
+
+
 def test_coboundary_matrix_fails_without_flatness(torus):
     L = from_representation(torus, {"a": 2, "b": 1}).with_edge((1, 2), [[3]])
     with pytest.raises(NotFlatError):
