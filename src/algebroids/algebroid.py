@@ -10,6 +10,12 @@ adjoint against cup powers of the curvature.  Cochain-level cup powers are
 not symmetric, but the symmetrization factors make the resulting class
 independent of that: it is unchanged under change of splitting and commutes
 with pullback, which is what the tests pin down.
+
+An algebroid builds each derived object of a Chern-Weil computation once per
+symmetric power k: the symmetric dual Sym^k(adjoint*), the cup power
+omega^k and the untwisted H^2k.  ``invariant_sections`` and ``chern_weil``
+share them, so a query over several sections and powers dualizes the
+adjoint once.
 """
 
 from __future__ import annotations
@@ -21,13 +27,15 @@ from fractions import Fraction
 
 from .cohomology import (
     CohomologyClass,
+    CohomologySpace,
     TwistedCochain,
     coboundary,
     cohomology,
+    cup,
     cup_power,
     pair_flat,
     pullback_cochain,
-    untwisted_class,
+    untwisted_space,
 )
 from .complexes import Complex, SimplicialMap
 from .errors import (
@@ -39,21 +47,49 @@ from .errors import (
 )
 from .local_systems import (
     LocalSystem,
+    _sym_monomials,
     check_flat,
     dual,
     pullback_system,
     sym_power,
-    tensor_power,
     trivial_system,
 )
 
 
 class CommAlgebroid:
-    """Validated pair (adjoint system, extension 2-cocycle)."""
+    """Validated pair (adjoint system, extension 2-cocycle).
+
+    Also holds, per symmetric power k and built on first use, the systems
+    and spaces that Chern-Weil classes of degree k are computed in."""
 
     def __init__(self, adjoint: LocalSystem, omega: TwistedCochain):
         self.adjoint = adjoint
         self.omega = omega
+        self._sym_duals = {}
+        self._cup_powers = []
+        self._untwisted = {}
+
+    def _sym_dual(self, k: int) -> LocalSystem:
+        """Sym^k of the dual adjoint: the home of degree-k invariant sections."""
+        if k not in self._sym_duals:
+            self._sym_duals[k] = sym_power(dual(self.adjoint), k)
+        return self._sym_duals[k]
+
+    def _cup_power(self, k: int) -> TwistedCochain:
+        """omega^k, each power cupped onto the one before, so all powers
+        share one trivial line and their systems one chain of tensor
+        factors."""
+        powers = self._cup_powers
+        if not powers:
+            powers.append(cup_power(self.omega, 0))
+        while len(powers) <= k:
+            powers.append(cup(powers[-1], self.omega))
+        return powers[k]
+
+    def _untwisted_space(self, n: int) -> CohomologySpace:
+        if n not in self._untwisted:
+            self._untwisted[n] = untwisted_space(self.base, n)
+        return self._untwisted[n]
 
     @property
     def base(self) -> Complex:
@@ -122,41 +158,34 @@ class InvariantSectionSpace:
 def invariant_sections(A: CommAlgebroid, k: int) -> InvariantSectionSpace:
     if k < 0:
         raise InputError("symmetric power must be nonnegative")
-    system = sym_power(dual(A.adjoint), k)
+    system = A._sym_dual(k)
     space = cohomology(system, 0)
     return InvariantSectionSpace(k, system, space.representatives)
 
 
-def _monomials(rank: int, k: int) -> list:
-    return list(itertools.combinations_with_replacement(range(rank), k))
-
-
-def _sym_embedding(phi: TwistedCochain, adjoint: LocalSystem, k: int) -> TwistedCochain:
+def _sym_embedding(phi: TwistedCochain, A: CommAlgebroid, k: int) -> TwistedCochain:
     """Rewrite a section of the symmetric dual as a section of the dual of
-    the k-th tensor power: each word coordinate is the monomial coordinate
-    of its sorted word, weighted by the product of letter multiplicity
-    factorials.  Together with the final 1/k! this realizes the canonical
-    inclusion of symmetric functionals into multilinear ones."""
-    r = adjoint.rank
-    mono_index = {m: i for i, m in enumerate(_monomials(r, k))}
-    target = dual(tensor_power(adjoint, k))
+    the k-th tensor power, the system that pairs with omega^k: each word
+    coordinate is the monomial coordinate of its sorted word, weighted by
+    the product of letter multiplicity factorials.  Together with the final
+    1/k! this realizes the canonical inclusion of symmetric functionals into
+    multilinear ones."""
+    r = A.adjoint.rank
+    mono_index = {m: i for i, m in enumerate(_sym_monomials(r, k))}
+    # words enumerate in row-major order, so a word's position is its index
+    # in the flattened tensor power
+    words = []
+    for word in itertools.product(range(r), repeat=k):
+        key = tuple(sorted(word))
+        weight = 1
+        for count in Counter(key).values():
+            weight *= math.factorial(count)
+        words.append((mono_index[key], weight))
+    target = dual(A._cup_power(k).system)
     values = {}
-    for v in range(adjoint.base.vertex_count):
+    for v in range(A.base.vertex_count):
         coords = phi.value((v,))
-        vec = [Fraction(0)] * (r**k)
-        for word in itertools.product(range(r), repeat=k):
-            key = tuple(sorted(word))
-            coeff = coords[mono_index[key]]
-            if coeff == 0:
-                continue
-            weight = 1
-            for count in Counter(key).values():
-                weight *= math.factorial(count)
-            index = 0
-            for letter in word:
-                index = index * r + letter
-            vec[index] = coeff * weight
-        values[(v,)] = tuple(vec)
+        values[(v,)] = tuple(coords[m] * weight for m, weight in words)
     return TwistedCochain(target, 0, values)
 
 
@@ -166,16 +195,16 @@ def chern_weil(A: CommAlgebroid, phi: TwistedCochain, k: int) -> CohomologyClass
     dual; k = 0 returns the class of the constant phi itself."""
     if k < 0:
         raise InputError("symmetric power must be nonnegative")
-    expected = sym_power(dual(A.adjoint), k)
-    if phi.degree != 0 or phi.system != expected:
+    if phi.degree != 0 or phi.system != A._sym_dual(k):
         raise NotInvariantError(
             f"section does not live in the degree-{k} symmetric dual of the adjoint"
         )
     if not coboundary(phi).is_zero():
         raise NotInvariantError("section is not invariant under the adjoint transport")
-    embedded = _sym_embedding(phi, A.adjoint, k)
-    paired = pair_flat(embedded, cup_power(A.omega, k))
-    return untwisted_class(paired.scale(Fraction(1, math.factorial(k))))
+    embedded = _sym_embedding(phi, A, k)
+    paired = pair_flat(embedded, A._cup_power(k))
+    space = A._untwisted_space(2 * k)
+    return space.class_of(paired.scale(Fraction(1, math.factorial(k))))
 
 
 def chern_weil_image(A: CommAlgebroid, max_k: int | None = None) -> dict:

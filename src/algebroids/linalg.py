@@ -363,8 +363,15 @@ class Matrix:
             raise InputError("matrix power needs a square matrix")
         base = self if k >= 0 else self.inverse()
         out = Matrix.identity(self.rows, self.domain)
-        for _ in range(abs(k)):
-            out = out * base
+        k = abs(k)
+        # repeated squaring; powers of one matrix commute, so the exact
+        # result equals the k-fold product
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def kron(self, other: "Matrix") -> "Matrix":

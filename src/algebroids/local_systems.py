@@ -14,6 +14,12 @@ left to right and a closed loop based at vertex 0 gets a well-defined
 holonomy in GL of the fiber there.  The breadth-first spanning tree fixes the
 gauge: tree edges carry the identity, and each non-tree edge carries the
 holonomy of the loop it closes.
+
+Derived systems remember where they came from, one way only: a system keeps
+its dual once computed, and a tensor product keeps its two factors.  So the
+dual of a tensor power is the tensor power of the dual, and no transport
+larger than a factor's is ever inverted.  Nothing points back from a derived
+system to its source, so no reference cycle forms.
 """
 
 from __future__ import annotations
@@ -67,6 +73,8 @@ class LocalSystem:
         self.rank = rank
         self.transport = {e: transport[e] for e in base.edges}
         self._inverses = {}
+        self._dual = None
+        self._factors = None
 
     @classmethod
     def build(cls, base: Complex, rank: int, transport: Mapping) -> "LocalSystem":
@@ -85,7 +93,9 @@ class LocalSystem:
     def _inverse(self, edge) -> Matrix:
         inv = self._inverses.get(edge)
         if inv is None:
-            inv = self.transport[edge].inverse()
+            m = self.transport[edge]
+            # tree edges and trivial lines carry the identity, its own inverse
+            inv = m if m.is_identity() else m.inverse()
             self._inverses[edge] = inv
         return inv
 
@@ -117,7 +127,7 @@ class LocalSystem:
         return LocalSystem(self.base, self.rank, new)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, LocalSystem)
             and self.base == other.base
             and self.rank == other.rank
@@ -306,18 +316,28 @@ def gauge_transform(L: LocalSystem, frames) -> LocalSystem:
 
 def dual(L: LocalSystem) -> LocalSystem:
     """The dual system: transports become inverse transposes, so the pairing
-    of a dual section against a section is transport-invariant."""
-    transport = {
-        e: L.transport[e].inverse().transpose() for e in L.base.edges
-    }
-    return LocalSystem(L.base, L.rank, transport)
+    of a dual section against a section is transport-invariant.
+
+    Computed once per system and kept on it.  The dual of a tensor product
+    is the tensor product of the duals, which is exactly equal because
+    (A kron B)^-T = A^-T kron B^-T, so only the factors' transports are
+    inverted."""
+    if L._dual is None:
+        if L._factors is not None:
+            L._dual = tensor_system(*(dual(factor) for factor in L._factors))
+        else:
+            transport = {e: L._inverse(e).transpose() for e in L.base.edges}
+            L._dual = LocalSystem(L.base, L.rank, transport)
+    return L._dual
 
 
 def tensor_system(L1: LocalSystem, L2: LocalSystem) -> LocalSystem:
     if L1.base != L2.base:
         raise BaseMismatchError("tensor product needs a common base")
     transport = {e: L1.transport[e].kron(L2.transport[e]) for e in L1.base.edges}
-    return LocalSystem(L1.base, L1.rank * L2.rank, transport)
+    out = LocalSystem(L1.base, L1.rank * L2.rank, transport)
+    out._factors = (L1, L2)
+    return out
 
 
 def tensor_power(L: LocalSystem, k: int) -> LocalSystem:

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import algebroids
-from algebroids import dump_json
+from algebroids import Matrix, dump_json
 from algebroids.cli import main
+from algebroids.jsonio import resolve_complex_spec
 
 
 @pytest.fixture()
@@ -86,25 +87,45 @@ def test_cohomology_degree_out_of_range(run):
     assert err == ""
 
 
-def test_a_query_leaves_no_cyclic_garbage(run):
-    """A query's complex, systems and spaces are freed by reference
-    counting alone: none of them sits in a reference cycle that only the
-    cycle collector could reclaim."""
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "chern_weil"
+
+
+def _cyclic_garbage_after(run, *argv):
+    """Names of the types left in reference cycles by one query."""
     gc.collect()
     gc.garbage.clear()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        code, _, _ = run(
-            "char-classes", "--check-surjectivity", "--complex", "builtin:torus",
-            "--rep", "a=2,b=3",
-        )
+        code, _, _ = run(*argv)
         gc.collect()
         leaked = {type(o).__name__ for o in gc.garbage}
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
     assert code == 0
+    return leaked
+
+
+def test_a_query_leaves_no_cyclic_garbage(run):
+    """A query's complex, systems and spaces are freed by reference
+    counting alone: none of them sits in a reference cycle that only the
+    cycle collector could reclaim."""
+    leaked = _cyclic_garbage_after(
+        run, "char-classes", "--check-surjectivity", "--complex", "builtin:torus",
+        "--rep", "a=2,b=3",
+    )
+    assert not leaked & {"Complex", "LocalSystem", "CohomologySpace"}
+
+
+def test_a_chern_weil_query_leaves_no_cyclic_garbage(run):
+    """The memoised duals, the tensor factors and the algebroid's
+    per-power systems all point one way, so they form no cycle."""
+    leaked = _cyclic_garbage_after(
+        run, "chern-weil", "--complex", "builtin:torus3x3",
+        "--rep-file", str(FIXTURES / "rep2_unipotent.json"),
+        "--omega", str(FIXTURES / "omega_torus3x3_rank2.json"), "--max-k", "2",
+    )
     assert not leaked & {"Complex", "LocalSystem", "CohomologySpace"}
 
 
@@ -141,6 +162,30 @@ def test_chern_weil_trivial_with_fundamental_omega(run):
     assert power["invariant_sections"] == 1
     assert len(power["classes"]) == 1
     assert any(x != "0/1" for x in power["classes"][0])
+
+
+def test_chern_weil_inverts_only_adjoint_transports(run, monkeypatch):
+    """Every derived system of a Chern-Weil query is dualized through the
+    adjoint: Matrix.inverse sees no tensor-power or symmetric-power
+    transport, and at most one matrix per edge of the base."""
+    inverted = []
+    inverse = Matrix.inverse
+
+    def counting_inverse(m):
+        inverted.append((m.rows, m.cols))
+        return inverse(m)
+
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    code, out, _ = run(
+        "chern-weil", "--complex", "builtin:torus4x4",
+        "--rep-file", str(FIXTURES / "rep3_diagonal.json"),
+        "--omega", str(FIXTURES / "omega_torus4x4_rank3.json"), "--max-k", "2",
+    )
+    assert code == 0
+    assert "k=2: invariant sections 2" in out
+    assert inverted
+    assert set(inverted) == {(3, 3)}
+    assert len(inverted) <= len(resolve_complex_spec("builtin:torus4x4").edges)
 
 
 def test_char_classes_text(run):

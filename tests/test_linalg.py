@@ -70,6 +70,22 @@ def test_power_negative_exponent():
     assert m.power(0).is_identity()
 
 
+@pytest.mark.parametrize("rows", [
+    [[Fraction(2, 3), Fraction(-5, 7)], [Fraction(3, 4), Fraction(1, 5)]],
+    [[Fraction(1, 2), Fraction(2, 3), Fraction(-1, 4)],
+     [Fraction(-3, 5), Fraction(1, 7), Fraction(5, 6)],
+     [Fraction(2), Fraction(-1, 3), Fraction(4, 9)]],
+])
+def test_power_equals_repeated_product(rows):
+    m = Matrix(rows)
+    inv = m.inverse()
+    for k in range(-6, 7):
+        expected = Matrix.identity(m.rows)
+        for _ in range(abs(k)):
+            expected = expected * (m if k > 0 else inv)
+        assert m.power(k) == expected, k
+
+
 def test_kron_mixed_product_rule():
     a = Matrix([[1, 2], [0, 1]])
     b = Matrix([[3]])

@@ -5,6 +5,7 @@ import pytest
 
 from algebroids import (
     Holonomy,
+    LocalSystem,
     Matrix,
     NotFlatError,
     RelationViolationError,
@@ -193,6 +194,42 @@ def test_dual_is_inverse_transpose(torus):
     D = dual(L)
     for i, j in torus.edges:
         assert D.matrix(i, j) == L.matrix(i, j).inverse().transpose()
+
+
+def _fresh_dual(L):
+    """The dual computed from scratch, bypassing every memo."""
+    return LocalSystem(
+        L.base, L.rank, {e: T.inverse().transpose() for e, T in L.transport.items()}
+    )
+
+
+def _same_entries(L, M):
+    assert (L.base, L.rank) == (M.base, M.rank)
+    for e in L.base.edges:
+        assert L.matrix(*e).entries == M.matrix(*e).entries, e
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_dual_of_tensor_power_is_tensor_power_of_dual(torus, rank):
+    rng = random.Random(41 + rank)
+    L = random_flat_system(rng, torus, rank=rank)
+    for k in range(4):
+        P = tensor_power(L, k)
+        _same_entries(dual(P), tensor_power(dual(L), k))
+        _same_entries(dual(P), _fresh_dual(P))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_dual_is_an_involution_and_memoised(torus, rank):
+    rng = random.Random(43 + rank)
+    L = random_flat_system(rng, torus, rank=rank)
+    D = dual(L)
+    assert dual(L) is D
+    _same_entries(D, _fresh_dual(L))
+    assert dual(D) == L
+    P = tensor_power(L, 2)
+    assert dual(dual(P)) == P
+    assert is_flat(D)
 
 
 def test_tensor_and_powers(circle3):
