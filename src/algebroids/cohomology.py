@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import Complex, SimplicialMap
+from .complexes import Complex, SimplicialMap, non_tree_edges, spanning_tree
 from .errors import (
     BaseMismatchError,
     DegreeError,
@@ -29,8 +29,15 @@ from .errors import (
     NotFlatError,
     UnknownGeneratorError,
 )
-from .linalg import Matrix, RATIONALS, kernel_basis, quotient_basis, solve
-from .local_systems import LocalSystem, check_flat, dual, pullback_system, trivial_system
+from .linalg import Matrix, RATIONALS, kernel_basis, quotient_basis, rref, solve
+from .local_systems import (
+    LocalSystem,
+    _once_per_object,
+    check_flat,
+    dual,
+    pullback_system,
+    trivial_system,
+)
 
 
 def _normalize_simplex(key) -> tuple:
@@ -152,9 +159,12 @@ def zero_cochain(system: LocalSystem, degree: int) -> TwistedCochain:
 def coboundary(phi: TwistedCochain) -> TwistedCochain:
     L = phi.system
     n = phi.degree
+    is_identity = _once_per_object(Matrix.is_identity)
     out = {}
     for tau in L.base.simplices_of_dim(n + 1):
-        acc = list(L.matrix(tau[0], tau[1]).apply(phi.value(tau[1:])))
+        front = L.matrix(tau[0], tau[1])
+        back = phi.value(tau[1:])
+        acc = list(back) if is_identity(front) else list(front.apply(back))
         sign = -1
         for i in range(1, n + 2):
             face_value = phi.value(tau[:i] + tau[i + 1 :])
@@ -191,6 +201,47 @@ def coboundary_matrix(L: LocalSystem, n: int) -> Matrix:
                 block[a][j0 + a] = signs[i % 2]
         rows.extend(block)
     return Matrix(rows, cols=ncols)
+
+
+def _flat_sections(L: LocalSystem) -> list:
+    """The basis of H^0 = ker d_0 that ``kernel_basis`` gives, read off the
+    fiber at vertex 0.
+
+    A flat section is fixed by its value x at vertex 0.  Transport along the
+    spanning tree gives it the value G_v x at each vertex v, and each
+    non-tree edge (i, j) asks that T(i, j) G_j x = G_i x.  So H^0 is the
+    joint fixed space of those R x R constraints, extended along the tree,
+    and no (E R) x (V R) matrix is built.  The free-column kernel basis is
+    the reduced echelon basis of the null space with rightmost pivots, so
+    that form of the extended vectors is the same basis, entry for entry."""
+    base, r = L.base, L.rank
+    tree = spanning_tree(base)
+    is_identity = _once_per_object(Matrix.is_identity)
+    frame = {tree.root: Matrix.identity(r)}
+    for v in tree.order[1:]:
+        u = tree.parent[v]
+        step = L.step(v, u)
+        frame[v] = frame[u] if is_identity(step) else step * frame[u]
+    # G_j is often the identity and T(i, j) often shared, so distinct
+    # constraints are few
+    constraint = _once_per_object(
+        lambda t, g_i, g_j: (t if is_identity(g_j) else t * g_j) - g_i
+    )
+    distinct = {}
+    for i, j in non_tree_edges(base):
+        c = constraint(L.matrix(i, j), frame[i], frame[j])
+        distinct[id(c)] = c
+    rows = [row for c in distinct.values() for row in c.entries]
+    fixed = kernel_basis(Matrix(rows, cols=r))
+    reversed_sections = []
+    for x in fixed:
+        values = []
+        for v in range(base.vertex_count):
+            g = frame[v]
+            values.extend(x if is_identity(g) else g.apply(x))
+        reversed_sections.append(values[::-1])
+    rank, red, _ = rref(Matrix(reversed_sections, cols=base.vertex_count * r))
+    return [red.entries[i][::-1] for i in reversed(range(rank))]
 
 
 def _matrix_from_columns(cols, height: int) -> Matrix:
@@ -285,17 +336,17 @@ def cohomology(L: LocalSystem, n: int) -> CohomologySpace:
     simplices = L.base.simplices_of_dim(n)
     if not simplices:
         return CohomologySpace(L, n, [], [], [])
-    d_n = coboundary_matrix(L, n)
-    z_vectors = kernel_basis(d_n)
     if n == 0:
+        rep_vectors = _flat_sections(L)
         image_columns = []
     else:
+        z_vectors = kernel_basis(coboundary_matrix(L, n))
         d_prev = coboundary_matrix(L, n - 1)
         image_columns = [
             tuple(d_prev.entries[i][j] for i in range(d_prev.rows))
             for j in range(d_prev.cols)
         ]
-    rep_vectors = quotient_basis(z_vectors, image_columns)
+        rep_vectors = quotient_basis(z_vectors, image_columns)
     representatives = [TwistedCochain.from_vector(L, n, v) for v in rep_vectors]
     return CohomologySpace(L, n, representatives, rep_vectors, image_columns)
 

@@ -14,6 +14,7 @@ representation constructors use to fill in transports consistently.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -130,20 +131,22 @@ def validate_complex(vertex_count, simplices, named_loops=None,
                         face=face,
                     )
 
-    adjacency = {v: [] for v in range(vertex_count)}
+    # adjacency and the search touch only vertices that lie on an edge, so
+    # memory grows with the input and not with the declared vertex count
+    adjacency: dict = {}
     for i, j in sorted(by_dim.get(1, set())):
-        adjacency[i].append(j)
-        adjacency[j].append(i)
+        adjacency.setdefault(i, []).append(j)
+        adjacency.setdefault(j, []).append(i)
     seen = {0}
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        for w in adjacency[v]:
+        for w in adjacency.get(v, ()):
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
     if len(seen) != vertex_count:
-        missing = min(set(range(vertex_count)) - seen)
+        missing = next(v for v in itertools.count() if v not in seen)
         raise DisconnectedComplexError(
             f"vertex {missing} is not reachable from vertex 0", vertex=missing
         )

@@ -20,6 +20,12 @@ its dual once computed, and a tensor product keeps its two factors.  So the
 dual of a tensor power is the tensor power of the dual, and no transport
 larger than a factor's is ever inverted.  Nothing points back from a derived
 system to its source, so no reference cycle forms.
+
+Equal transports are usually one shared object: the tree edges carry one
+identity, and ``from_representation`` builds one matrix per distinct winding
+vector.  Every per-edge operation (inverse, dual, tensor, symmetric power,
+the flatness law) runs once per distinct source object, so a derived system
+costs one step per transport value and inherits the sharing.
 """
 
 from __future__ import annotations
@@ -55,6 +61,25 @@ def _as_matrix(value, rank=None) -> Matrix:
     return m
 
 
+def _once_per_object(fn):
+    """fn memoised by the identity of its matrix arguments.
+
+    The keys are ids, so a memo must not outlive its arguments: each one
+    lives for a single call, or as long as the system holding the matrices
+    it is keyed on."""
+    memo = {}
+
+    def call(*matrices):
+        key = tuple(map(id, matrices))
+        try:
+            return memo[key]
+        except KeyError:
+            out = memo[key] = fn(*matrices)
+            return out
+
+    return call
+
+
 def _require_invertible(m: Matrix, label) -> None:
     if rref(m)[0] != m.rows:
         raise SingularMatrixError(f"transport for {label} is singular", generator=str(label))
@@ -72,7 +97,8 @@ class LocalSystem:
         self.base = base
         self.rank = rank
         self.transport = {e: transport[e] for e in base.edges}
-        self._inverses = {}
+        # tree edges and trivial lines carry the identity, its own inverse
+        self._inverse = _once_per_object(lambda m: m if m.is_identity() else m.inverse())
         self._dual = None
         self._factors = None
 
@@ -90,15 +116,6 @@ class LocalSystem:
         """Transport along the increasing edge (i, j), fiber j to fiber i."""
         return self.transport[(i, j)]
 
-    def _inverse(self, edge) -> Matrix:
-        inv = self._inverses.get(edge)
-        if inv is None:
-            m = self.transport[edge]
-            # tree edges and trivial lines carry the identity, its own inverse
-            inv = m if m.is_identity() else m.inverse()
-            self._inverses[edge] = inv
-        return inv
-
     def step(self, u: int, w: int) -> Matrix:
         """Transport carrying the fiber at w to the fiber at u, for w either
         equal to u or joined to it by an edge."""
@@ -106,7 +123,7 @@ class LocalSystem:
             return Matrix.identity(self.rank)
         if u < w:
             return self.transport[(u, w)]
-        return self._inverse((w, u))
+        return self._inverse(self.transport[(w, u)])
 
     def transport_along(self, path: Sequence[int]) -> Matrix:
         """Composite transport carrying the fiber at path[-1] to path[0]."""
@@ -146,12 +163,14 @@ def trivial_system(c: Complex, rank: int = 1) -> LocalSystem:
 
 
 def check_flat(L: LocalSystem) -> list:
-    """All triangles violating the transport composition law."""
-    bad = []
-    for i, j, k in L.base.triangles:
-        if L.matrix(i, j) * L.matrix(j, k) != L.matrix(i, k):
-            bad.append((i, j, k))
-    return bad
+    """All triangles violating the transport composition law, in order.  The
+    law is evaluated once per distinct triple of transport objects."""
+    composes = _once_per_object(lambda a, b, c: a * b == c)
+    return [
+        (i, j, k)
+        for i, j, k in L.base.triangles
+        if not composes(L.matrix(i, j), L.matrix(j, k), L.matrix(i, k))
+    ]
 
 
 def is_flat(L: LocalSystem) -> bool:
@@ -239,18 +258,25 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
 
     ident = Matrix.identity(rank)
     names = sorted(named)
+    # one matrix per distinct winding vector, and per distinct power
+    by_winding = {(0,) * len(names): ident}
+    powers = {}
     transport = {}
     for edge in c.edges:
         if edge in tree.tree_edges:
             transport[edge] = ident
             continue
-        m = ident
-        if names:
-            exponents = _edge_exponents(c, tree, edge, names)
-            for name in names:
-                e = exponents[name]
+        exponents = _edge_exponents(c, tree, edge, names)
+        winding = tuple(exponents[name] for name in names)
+        m = by_winding.get(winding)
+        if m is None:
+            m = ident
+            for name, e in zip(names, winding):
                 if e:
-                    m = m * matrices[name].power(e)
+                    if (name, e) not in powers:
+                        powers[name, e] = matrices[name].power(e)
+                    m = m * powers[name, e]
+            by_winding[winding] = m
         transport[edge] = m
     for edge, value in explicit.items():
         transport[edge] = matrices[edge]
@@ -269,12 +295,11 @@ class Holonomy:
     """Holonomy of a flat system: one matrix per non-tree edge, each the
     transport around the based loop that edge closes."""
 
-    def __init__(self, base, rank, tree, generator_images, relations_checked=True):
+    def __init__(self, base, rank, tree, generator_images):
         self.base = base
         self.rank = rank
         self.tree = tree
         self.generator_images = generator_images
-        self.relations_checked = relations_checked
 
     def __repr__(self):
         return f"Holonomy({len(self.generator_images)} generators, rank={self.rank})"
@@ -326,7 +351,8 @@ def dual(L: LocalSystem) -> LocalSystem:
         if L._factors is not None:
             L._dual = tensor_system(*(dual(factor) for factor in L._factors))
         else:
-            transport = {e: L._inverse(e).transpose() for e in L.base.edges}
+            flip = _once_per_object(lambda m: L._inverse(m).transpose())
+            transport = {e: flip(m) for e, m in L.transport.items()}
             L._dual = LocalSystem(L.base, L.rank, transport)
     return L._dual
 
@@ -334,7 +360,8 @@ def dual(L: LocalSystem) -> LocalSystem:
 def tensor_system(L1: LocalSystem, L2: LocalSystem) -> LocalSystem:
     if L1.base != L2.base:
         raise BaseMismatchError("tensor product needs a common base")
-    transport = {e: L1.transport[e].kron(L2.transport[e]) for e in L1.base.edges}
+    kron = _once_per_object(Matrix.kron)
+    transport = {e: kron(L1.transport[e], L2.transport[e]) for e in L1.base.edges}
     out = LocalSystem(L1.base, L1.rank * L2.rank, transport)
     out._factors = (L1, L2)
     return out
@@ -386,7 +413,8 @@ def sym_power(L: LocalSystem, k: int) -> LocalSystem:
     sym_power(L, 1) returns transports equal to those of L."""
     if k < 0:
         raise InputError("symmetric power needs a nonnegative exponent")
-    transport = {e: _sym_matrix(L.transport[e], k) for e in L.base.edges}
+    sym = _once_per_object(lambda m: _sym_matrix(m, k))
+    transport = {e: sym(m) for e, m in L.transport.items()}
     rank = len(_sym_monomials(L.rank, k))
     return LocalSystem(L.base, rank, transport)
 

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from algebroids import (
     InputError,
+    Matrix,
     NotClosedError,
     NotFlatError,
     NotInvariantError,
@@ -31,6 +34,7 @@ from algebroids import (
     untwisted_space,
     zero_cochain,
 )
+from algebroids import cli, local_systems
 
 from conftest import (
     random_cochain,
@@ -224,3 +228,39 @@ def test_chern_weil_commutes_with_pullback(torus):
         cls_source = chern_weil(B, pulled_phi, 1)
         m = induced_map(f, trivial_system(torus), 2)
         assert cls_source.coordinates == m.apply(cls_target.coordinates)
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "chern_weil"
+
+
+@pytest.mark.parametrize("rep", ["rep3_unipotent", "rep3_diagonal"])
+def test_chern_weil_derives_once_per_distinct_transport(rep, monkeypatch, capsys):
+    """A rank-3 chern-weil query on torus4x4 inverts each transport object,
+    takes Sym^k of each object and tensors each pair of objects at most once.
+    The counters keep every argument alive, so no id is reused."""
+    calls = {"sym": [], "kron": [], "inverse": []}
+    sym_matrix, kron, inverse = local_systems._sym_matrix, Matrix.kron, Matrix.inverse
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(local_systems, "_sym_matrix", counted("sym", sym_matrix))
+    monkeypatch.setattr(Matrix, "kron", counted("kron", kron))
+    monkeypatch.setattr(Matrix, "inverse", counted("inverse", inverse))
+    code = cli.main([
+        "chern-weil", "--json", "--min-k", "0", "--max-k", "2",
+        "--complex", "builtin:torus4x4",
+        "--rep-file", str(FIXTURES / f"{rep}.json"),
+        "--omega", str(FIXTURES / "omega_torus4x4_rank3.json"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out
+    for name, records in calls.items():
+        assert records, name
+        keys = Counter(
+            tuple(id(x) if isinstance(x, Matrix) else x for x in args) for args in records
+        )
+        assert max(keys.values()) == 1, name

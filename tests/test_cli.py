@@ -302,3 +302,30 @@ def test_installed_console_script_reports_version():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == algebroids.__version__
+
+
+def test_huge_vertex_count_fails_typed_in_bounded_memory(tmp_path):
+    """A declared vertex count far beyond the edges must not allocate per
+    vertex: the disconnection error comes out under a 1 GiB address limit."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": 100_000_000, "simplices": [[0, 1]]}))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(algebroids.__file__).resolve().parents[1]),
+        ALGEBROIDS_VERBOSE="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroids.cli", "validate", "--complex", str(path)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=10,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr.strip().splitlines()[-1]) == {
+        "code": "DISCONNECTED",
+        "details": {"vertex": 2},
+        "message": "vertex 2 is not reachable from vertex 0",
+    }

@@ -28,11 +28,15 @@ from algebroids import (
     gauge_transform,
     identity_map,
     induced_map,
+    kernel_basis,
     named_loop_cocycle,
     pair_flat,
     pullback_cochain,
+    quotient_basis,
     simplicial_map,
+    sym_power,
     tensor_system,
+    torus_grid,
     trivial_system,
     untwisted_class,
     untwisted_space,
@@ -45,6 +49,7 @@ from conftest import (
     rand_invertible_matrix,
     random_cochain,
     random_flat_system,
+    random_gauge,
     torus_cover_map,
     torus_swap_map,
 )
@@ -396,3 +401,46 @@ def test_evaluate_on_loop_matches_edge_sum(torus):
     assert evaluate_on_loop(phi, (0, 1, 2, 0)) == 1 + 2 - 4
     # open paths are fine too, traversal signs included
     assert evaluate_on_loop(phi, (2, 1, 0)) == -2 - 1
+
+
+def _h0_images(kind, names, rank):
+    """Commuting generator images of one kind: trivial, unipotent, diagonal
+    with some eigenvalues 1, or generic diagonal (no fixed vectors)."""
+    one = Fraction(1)
+    ident = Matrix.identity(rank)
+    jordan = Matrix(
+        [[one if j in (i, i + 1) else 0 for j in range(rank)] for i in range(rank)]
+    )
+    if kind == "trivial":
+        pair = (ident, ident)
+    elif kind == "unipotent":
+        pair = (jordan, jordan.power(-2))
+    elif kind == "diagonal":
+        pair = (
+            Matrix.diagonal([Fraction(2), one, one / 2][:rank]),
+            Matrix.diagonal([Fraction(3), one, one / 3][:rank]),
+        )
+    else:
+        pair = (Matrix.diagonal([2, 3, 5][:rank]), Matrix.diagonal([7, 11, 13][:rank]))
+    return dict(zip(names, pair))
+
+
+@pytest.mark.parametrize("model", ["torus", "torus4x4", "circle3"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_fiber_h0_matches_kernel_of_d0(model, rank):
+    """H^0 read off the fiber equals the free-column kernel of d_0, entry for
+    entry, on gauge-transformed systems, their duals and Sym^2 duals."""
+    c = {"torus": torus_grid(3, 3), "torus4x4": torus_grid(4, 4),
+         "circle3": circle_model(3)}[model]
+    rng = random.Random(f"fiber-h0:{model}:{rank}")
+    dims = set()
+    for kind in ("trivial", "unipotent", "diagonal", "generic"):
+        L = from_representation(c, _h0_images(kind, sorted(c.named_loops), rank))
+        L = random_gauge(rng, L)
+        for S in (L, dual(L), sym_power(dual(L), 2)):
+            expected = quotient_basis(kernel_basis(coboundary_matrix(S, 0)), [])
+            space = cohomology(S, 0)
+            assert space._rep_vectors == expected, kind
+            assert [phi.vector() for phi in space.representatives] == expected
+            dims.add(space.dimension)
+    assert 0 in dims and max(dims) > 0

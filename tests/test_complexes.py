@@ -49,6 +49,18 @@ def test_validate_complex_rejects_bad_input():
         validate_complex(0, [])
 
 
+def test_disconnection_names_the_first_unreached_vertex():
+    # 3 and 4 are reached from 0, so the first vertex off the edges is 1;
+    # vertices 6 and 7 lie on no edge at all
+    with pytest.raises(DisconnectedComplexError) as info:
+        validate_complex(8, [(0, 3), (3, 4), (1, 2), (1, 5), (2, 5)])
+    assert info.value.details == {"vertex": 1}
+    assert str(info.value) == "vertex 1 is not reachable from vertex 0"
+    with pytest.raises(DisconnectedComplexError) as info:
+        validate_complex(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    assert info.value.details == {"vertex": 6}
+
+
 def test_circle_model_shape():
     c = circle_model(5)
     assert c.counts() == (5, 5)

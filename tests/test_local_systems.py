@@ -29,7 +29,9 @@ from algebroids import (
     sym_power,
     tensor_power,
     tensor_system,
+    torus_grid,
     trivial_system,
+    validate_complex,
 )
 
 from conftest import (
@@ -312,3 +314,46 @@ def test_random_flat_systems_are_flat(torus, circle6, disk):
             L = random_flat_system(rng, c, rank=rank)
             assert is_flat(L)
             assert L.rank == rank
+
+
+def test_check_flat_lists_every_bad_triangle_with_shared_transports():
+    """Four triangles built from shared transport objects.  The first is flat;
+    each later one agrees with it on two of its three transports and breaks
+    the law, so a flatness memo keyed on any two of the three objects would
+    pass one of them."""
+    triangles = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
+    bridges = [(2, 3), (5, 6), (8, 9)]
+    edges = [e for t in triangles for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))]
+    c = validate_complex(12, edges + bridges + triangles)
+    A = Matrix([[1, 1], [0, 1]])
+    B = Matrix([[2, 0], [0, 1]])
+    C = A * B
+    D, E, F = Matrix([[3, 0], [0, 1]]), Matrix([[1, 0], [1, 1]]), Matrix([[1, 2], [0, 1]])
+    # (T(i, j), T(j, k), T(i, k)) per triangle
+    laws = [(A, B, C), (A, B, D), (A, E, C), (F, B, C)]
+    transport = {e: Matrix.identity(2) for e in bridges}
+    for (i, j, k), (ij, jk, ik) in zip(triangles, laws):
+        transport.update({(i, j): ij, (j, k): jk, (i, k): ik})
+    L = LocalSystem(c, 2, transport)
+    assert check_flat(L) == triangles[1:]
+    assert not is_flat(L)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_equal_transports_are_one_object(rank):
+    """One matrix per distinct transport value, and derived systems keep the
+    sharing: no more objects than their source has."""
+    c = torus_grid(4, 4)
+    # distinct winding vectors give distinct values
+    a = Matrix.diagonal([2, 3, 5][:rank])
+    b = Matrix.diagonal([7, 11, 13][:rank])
+    L = from_representation(c, {"a": a, "b": b})
+
+    def objects(S):
+        return len({id(m) for m in S.transport.values()})
+
+    values = set(L.transport.values())
+    assert objects(L) == len(values) < len(c.edges)
+    D = dual(L)
+    for S in (D, sym_power(D, 2), tensor_system(L, D), dual(tensor_power(L, 2))):
+        assert objects(S) <= objects(L)
