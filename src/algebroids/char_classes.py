@@ -1,10 +1,12 @@
 """Characteristic classes of rank-1 flat systems read off the holonomy.
 
-A nonzero rational transport factors as sign times a product of prime
-powers.  The sign bit gives a 1-cocycle with bit coefficients; the exponent
-of each prime gives a rational 1-cocycle.  Both are canonicalized in the
-gauge where tree edges vanish, so two systems get equal class data exactly
-when their holonomy representations agree.
+Transport along the spanning tree puts a rank-1 system in tree gauge: tree
+edges carry 1, and each non-tree edge carries the holonomy h of the loop it
+closes.  A nonzero rational h factors as sign times a product of prime
+powers.  The sign bits (h < 0) give a 1-cocycle with bit coefficients; the
+exponent of each prime gives a rational 1-cocycle.  Both vanish on the tree,
+so two systems get equal class data exactly when their holonomy
+representations agree.
 
 The span of the log classes, together with its cup powers, is the part of
 the cohomology of the classifying space that the system can see.  On the
@@ -24,11 +26,9 @@ from .cohomology import (
     evaluate_on_chain,
     fundamental_cocycle,
     fundamental_cycle,
-    named_loop_cocycle,
-    untwisted_class,
     untwisted_space,
 )
-from .complexes import Complex, non_tree_edges, spanning_tree, torus_model
+from .complexes import Complex, loop_pairing, non_tree_edges, spanning_tree, torus_model
 from .errors import (
     InputError,
     NotClosedError,
@@ -36,56 +36,37 @@ from .errors import (
     UnsupportedBaseError,
     UnsupportedRankError,
 )
-from .linalg import (
-    BITS,
-    Domain,
-    FormalLog,
-    GF2,
-    LOGS,
-    Matrix,
-    RATIONALS,
-    _RowSpace,
-    solve,
-)
-from .local_systems import LocalSystem, check_flat
+from .jsonio import format_rational
+from .linalg import FormalLog, GF2, Matrix, _RowSpace, solve
+from .local_systems import LocalSystem, check_flat, trivial_system
 
 
 class EdgeClass:
     """A degree-1 class in its canonical gauge: one coefficient per non-tree
-    edge, tree edges implicitly zero.  Works over any coefficient domain
-    with addition; only nonzero coefficients are stored."""
+    edge, tree edges implicitly zero.  Coefficients are rationals, or
+    ``GF2`` bits for the sign class, and ``zero`` is the zero of their type;
+    only nonzero coefficients are stored."""
 
-    def __init__(self, base: Complex, domain: Domain, values: Mapping):
+    def __init__(self, base: Complex, values: Mapping, zero=Fraction(0)):
         self.base = base
-        self.domain = domain
-        self.values = {tuple(e): v for e, v in values.items() if v != domain.zero}
+        self.zero = zero
+        self.values = {tuple(e): v for e, v in values.items() if v}
 
     def coordinates(self) -> tuple:
-        return tuple(
-            self.values.get(e, self.domain.zero) for e in non_tree_edges(self.base)
-        )
+        return tuple(self.values.get(e, self.zero) for e in non_tree_edges(self.base))
 
     def evaluate_loop(self, path) -> object:
         """Pair against a closed vertex path; gauge-invariant because the
         representative vanishes on the spanning tree."""
-        total = self.domain.zero
-        for u, w in zip(path, path[1:]):
-            edge = (u, w) if u < w else (w, u)
-            value = self.values.get(edge)
-            if value is None:
-                continue
-            total = total + value if u < w else total - value
-        return total
+        return loop_pairing(self.values, path, self.zero)
 
     def is_zero(self) -> bool:
         return not self.values
 
     def to_cochain(self) -> TwistedCochain:
         """The canonical representative as an untwisted rational 1-cochain."""
-        if self.domain is not RATIONALS:
+        if not isinstance(self.zero, Fraction):
             raise InputError("only rational classes convert to cochains")
-        from .local_systems import trivial_system
-
         return TwistedCochain(
             trivial_system(self.base, 1), 1, {e: (v,) for e, v in self.values.items()}
         )
@@ -94,29 +75,31 @@ class EdgeClass:
         return (
             isinstance(other, EdgeClass)
             and self.base == other.base
-            and self.domain is other.domain
+            and type(self.zero) is type(other.zero)
             and self.values == other.values
         )
 
     __hash__ = None
 
     def __repr__(self):
-        return f"EdgeClass(domain={self.domain.name}, support={len(self.values)})"
+        return f"EdgeClass({type(self.zero).__name__}, support={len(self.values)})"
 
 
-def canonical_edge_class(c: Complex, assignment: Mapping, domain: Domain = RATIONALS) -> EdgeClass:
-    """Canonicalize a 1-cocycle given as edge -> coefficient: subtract the
-    coboundary of the tree potential so every tree edge vanishes.  The input
-    must be closed; violations are reported, not repaired."""
-    values = {tuple(e): assignment.get(e, domain.zero) for e in c.edges}
+def canonical_edge_class(c: Complex, assignment: Mapping) -> EdgeClass:
+    """Canonicalize a rational 1-cocycle given as edge -> coefficient:
+    subtract the coboundary of the tree potential so every tree edge
+    vanishes.  The input must be closed; violations are reported, not
+    repaired."""
+    zero = Fraction(0)
+    values = {tuple(e): assignment.get(e, zero) for e in c.edges}
     bad = []
     for i, j, k in c.triangles:
-        if values[(i, j)] + values[(j, k)] - values[(i, k)] != domain.zero:
+        if values[(i, j)] + values[(j, k)] - values[(i, k)] != 0:
             bad.append((i, j, k))
     if bad:
         raise NotClosedError("edge assignment is not a cocycle", triangles=bad)
     tree = spanning_tree(c)
-    potential = {tree.root: domain.zero}
+    potential = {tree.root: zero}
     for v in tree.order:
         if v == tree.root:
             continue
@@ -126,7 +109,7 @@ def canonical_edge_class(c: Complex, assignment: Mapping, domain: Domain = RATIO
     reduced = {}
     for i, j in non_tree_edges(c):
         reduced[(i, j)] = values[(i, j)] - (potential[j] - potential[i])
-    return EdgeClass(c, domain, reduced)
+    return EdgeClass(c, reduced)
 
 
 def _scalar(L: LocalSystem, edge) -> Fraction:
@@ -141,32 +124,45 @@ def _require_rank1_flat(L: LocalSystem) -> None:
         raise NotFlatError("system is not flat", triangles=violations)
 
 
-def sign_class(L: LocalSystem) -> EdgeClass:
-    """The orientation class: bit 1 on edges with negative transport,
-    canonicalized.  Zero exactly when every loop holonomy is positive."""
-    _require_rank1_flat(L)
-    bits = {
-        e: GF2(0 if _scalar(L, e) > 0 else 1) for e in L.base.edges
+def _tree_gauge(L: LocalSystem) -> dict:
+    """The holonomy of the loop each non-tree edge (i, j) closes, from one
+    pass down the spanning tree: frame[v] carries the fiber at v back to the
+    root along the tree, and the loop's holonomy is
+    frame[i] * T(i, j) / frame[j]."""
+    tree = spanning_tree(L.base)
+    frame = {tree.root: Fraction(1)}
+    for v in tree.order[1:]:
+        u = tree.parent[v]
+        frame[v] = frame[u] * _scalar(L, (u, v)) if u < v else frame[u] / _scalar(L, (v, u))
+    return {
+        (i, j): frame[i] * _scalar(L, (i, j)) / frame[j] for i, j in non_tree_edges(L.base)
     }
-    return canonical_edge_class(L.base, bits, BITS)
+
+
+def sign_class(L: LocalSystem) -> EdgeClass:
+    """The orientation class: bit 1 on the non-tree edges whose loop has
+    negative holonomy.  Zero exactly when every loop holonomy is positive."""
+    _require_rank1_flat(L)
+    bits = {e: GF2(1) for e, h in _tree_gauge(L).items() if h < 0}
+    return EdgeClass(L.base, bits, GF2(0))
 
 
 def log_classes(L: LocalSystem) -> dict:
     """One rational class per prime appearing in the holonomy: the class
     whose pairing with any loop is the exponent of that prime in the loop's
-    holonomy.  Primes whose class cancels to zero are omitted."""
+    holonomy.  Each non-tree edge holds the exponent of the prime in the
+    holonomy of the loop it closes; primes absent from every loop are
+    omitted."""
     _require_rank1_flat(L)
-    logs = {e: FormalLog.of(_scalar(L, e)) for e in L.base.edges}
-    # canonicalize once in the formal-log domain, then split by prime
-    reduced = canonical_edge_class(L.base, logs, LOGS)
-    primes = sorted({p for v in reduced.values.values() for p in v.primes()})
-    out = {}
-    for p in primes:
-        values = {e: v.coefficient(p) for e, v in reduced.values.items()}
-        cls = EdgeClass(L.base, RATIONALS, values)
-        if not cls.is_zero():
-            out[p] = cls
-    return out
+    logs = {}
+    by_prime = {}
+    for e, h in _tree_gauge(L).items():
+        log = logs.get(h)
+        if log is None:
+            log = logs[h] = FormalLog.of(h)
+        for p in log.primes():
+            by_prime.setdefault(p, {})[e] = log.coefficient(p)
+    return {p: EdgeClass(L.base, by_prime[p]) for p in sorted(by_prime)}
 
 
 def brho_image(L: LocalSystem) -> dict:
@@ -176,7 +172,7 @@ def brho_image(L: LocalSystem) -> dict:
     _require_rank1_flat(L)
     c = L.base
     classes = log_classes(L)
-    span = _RowSpace(RATIONALS)
+    span = _RowSpace()
     basis_cochains = []
     degree_one = []
     for p in sorted(classes):
@@ -187,7 +183,7 @@ def brho_image(L: LocalSystem) -> dict:
     out = {1: (len(degree_one), degree_one)}
     for degree in range(2, c.dimension + 1):
         space = untwisted_space(c, degree)
-        coord_span = _RowSpace(RATIONALS)
+        coord_span = _RowSpace()
         basis = []
         for word in _cup_words(basis_cochains, degree):
             cochain = word[0]
@@ -220,17 +216,27 @@ class Certificate:
         self.degree = degree
         self.terms = list(terms)
 
+    def to_json(self) -> dict:
+        return {
+            "target": self.target,
+            "degree": self.degree,
+            "terms": [
+                {"primes": list(primes), "coefficient": format_rational(coeff)}
+                for primes, coeff in self.terms
+            ],
+        }
+
+    def text(self) -> str:
+        """One line, e.g. ``fundamental = -1/1 * l2*l3``: each term is a
+        coefficient times a product of prime classes l_p."""
+        terms = " + ".join(
+            "{} * l{}".format(format_rational(coeff), "*l".join(str(p) for p in primes))
+            for primes, coeff in self.terms
+        )
+        return f"{self.target} = {terms}"
+
     def __repr__(self):
         return f"Certificate(target={self.target!r}, terms={self.terms!r})"
-
-
-def _loop_exponent_matrix(classes: dict, loops) -> tuple:
-    """Column per prime: pairings of its class against the given loops."""
-    primes = sorted(classes)
-    columns = [
-        tuple(classes[p].evaluate_loop(path) for path in loops) for p in primes
-    ]
-    return primes, columns
 
 
 def surjectivity_check(L: LocalSystem) -> tuple:
@@ -249,9 +255,12 @@ def surjectivity_check(L: LocalSystem) -> tuple:
     if c != torus_model() or set(c.named_loops) != {"a", "b"}:
         raise UnsupportedBaseError("surjectivity is decided on the torus model only")
     classes = log_classes(L)
-    loops = [c.named_loops["a"], c.named_loops["b"]]
-    primes, columns = _loop_exponent_matrix(classes, loops)
-    pairing = Matrix(list(zip(*columns)) if columns else [(), ()], cols=len(columns))
+    primes = sorted(classes)
+    # row per loop, column per prime: the exponents of the prime on the loop
+    pairing = Matrix(
+        [[classes[p].evaluate_loop(c.named_loops[name]) for p in primes] for name in ("a", "b")],
+        cols=len(primes),
+    )
     degree_one_full = pairing.rank() == 2
 
     cycle = fundamental_cycle(c)
@@ -278,7 +287,7 @@ def _certify_loop_dual(c: Complex, classes: dict, name: str) -> Certificate:
     """Solve for a prime-class combination equal to the canonical class of
     the named loop's dual cocycle, then verify the equality coefficient by
     coefficient."""
-    target = canonical_edge_class(c, dict(c.loop_cocycles[name]), RATIONALS)
+    target = canonical_edge_class(c, dict(c.loop_cocycles[name]))
     primes = sorted(classes)
     columns = [classes[p].coordinates() for p in primes]
     height = len(non_tree_edges(c))
@@ -330,30 +339,15 @@ class CharClassReport:
             "generators": edges,
             "sign": [bit.value for bit in self.sign.coordinates()],
             "logs": {
-                str(p): [_rat(x) for x in cls.coordinates()]
+                str(p): [format_rational(x) for x in cls.coordinates()]
                 for p, cls in self.logs.items()
             },
             "image_dims": {str(d): dim for d, dim in self.image_dims.items()},
         }
         if self.surjective is not None:
             data["surjective"] = self.surjective
-            data["certificate"] = [
-                {
-                    "target": cert.target,
-                    "degree": cert.degree,
-                    "terms": [
-                        {"primes": list(primes), "coefficient": _rat(coeff)}
-                        for primes, coeff in cert.terms
-                    ],
-                }
-                for cert in (self.certificate or [])
-            ]
+            data["certificate"] = [cert.to_json() for cert in self.certificate or []]
         return data
-
-
-def _rat(x) -> str:
-    q = Fraction(x)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def char_class_report(L: LocalSystem, check_surjectivity: bool = False) -> CharClassReport:

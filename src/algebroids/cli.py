@@ -196,6 +196,12 @@ def cmd_chern_weil(args) -> int:
     return 0
 
 
+def _surjectivity_lines(surjective: bool, certificate) -> list:
+    return [f"surjective: {'true' if surjective else 'false'}"] + [
+        "  " + cert.text() for cert in certificate
+    ]
+
+
 def cmd_char_classes(args) -> int:
     c = resolve_complex_spec(args.complex)
     L = _load_system(args, c)
@@ -221,13 +227,7 @@ def cmd_char_classes(args) -> int:
         + " ".join(f"H{d}={report.image_dims[d]}" for d in sorted(report.image_dims))
     )
     if report.surjective is not None:
-        lines.append(f"surjective: {'true' if report.surjective else 'false'}")
-        for cert in report.certificate or []:
-            terms = " + ".join(
-                "{} * l{}".format(format_rational(coeff), "*l".join(str(p) for p in primes))
-                for primes, coeff in cert.terms
-            )
-            lines.append(f"  {cert.target} = {terms}")
+        lines += _surjectivity_lines(report.surjective, report.certificate)
     _emit(args, data, lines)
     return 0
 
@@ -264,26 +264,9 @@ def cmd_surjectivity(args) -> int:
     data = {
         "schema_version": SCHEMA_VERSION,
         "surjective": surjective,
-        "certificate": [
-            {
-                "target": cert.target,
-                "degree": cert.degree,
-                "terms": [
-                    {"primes": list(primes), "coefficient": format_rational(coeff)}
-                    for primes, coeff in cert.terms
-                ],
-            }
-            for cert in certificate
-        ],
+        "certificate": [cert.to_json() for cert in certificate],
     }
-    lines = [f"surjective: {'true' if surjective else 'false'}"]
-    for cert in certificate:
-        terms = " + ".join(
-            "{} * l{}".format(format_rational(coeff), "*l".join(str(p) for p in primes))
-            for primes, coeff in cert.terms
-        )
-        lines.append(f"  {cert.target} = {terms}")
-    _emit(args, data, lines)
+    _emit(args, data, _surjectivity_lines(surjective, certificate))
     return 0
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import Complex, SimplicialMap, non_tree_edges, spanning_tree
+from .complexes import Complex, SimplicialMap, loop_pairing, non_tree_edges, spanning_tree
 from .errors import (
     BaseMismatchError,
     DegreeError,
@@ -29,7 +29,7 @@ from .errors import (
     NotFlatError,
     UnknownGeneratorError,
 )
-from .linalg import Matrix, RATIONALS, kernel_basis, quotient_basis, rref, solve
+from .linalg import Matrix, kernel_basis, quotient_basis, rref, solve
 from .local_systems import (
     LocalSystem,
     _once_per_object,
@@ -538,16 +538,10 @@ def evaluate_on_chain(phi: TwistedCochain, chain: Mapping) -> Fraction:
 
 def evaluate_on_loop(phi: TwistedCochain, path: Sequence[int]) -> Fraction:
     """Sum an untwisted rank-1 1-cochain along a vertex path, with signs for
-    traversal against the edge orientation."""
+    traversal against the edge orientation (``loop_pairing`` on its values)."""
     if phi.degree != 1 or phi.system.rank != 1:
         raise InputError("loop evaluation needs a rank-1 1-cochain")
-    total = Fraction(0)
-    for u, w in zip(path, path[1:]):
-        if u < w:
-            total += phi.value((u, w))[0]
-        else:
-            total -= phi.value((w, u))[0]
-    return total
+    return loop_pairing({e: v[0] for e, v in phi.values.items()}, path)
 
 
 def named_loop_cocycle(c: Complex, name: str) -> TwistedCochain:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DisconnectedComplexError,
@@ -244,14 +244,14 @@ def torus_model() -> Complex:
     return torus_grid(3, 3)
 
 
-def loop_pairing(cocycle: dict, path: Sequence[int]) -> Fraction:
-    """Sum a sparse edge cocycle along a vertex path, respecting orientation."""
-    total = Fraction(0)
+def loop_pairing(cocycle: dict, path: Sequence[int], zero=Fraction(0)):
+    """Sum a sparse edge cocycle along a vertex path, respecting orientation.
+    The sum starts at ``zero``: pass ``GF2(0)`` to pair a cocycle of bits."""
+    total = zero
     for u, v in zip(path, path[1:]):
-        if u < v:
-            total += cocycle.get((u, v), Fraction(0))
-        else:
-            total -= cocycle.get((v, u), Fraction(0))
+        value = cocycle.get((u, v) if u < v else (v, u))
+        if value is not None:
+            total = total + value if u < v else total - value
     return total
 
 

@@ -1,10 +1,11 @@
-"""Exact linear algebra over pluggable scalar domains.
+"""Exact linear algebra over the rationals.
 
-Three scalar domains are supported: arbitrary-precision rationals
-(``fractions.Fraction``), the two-element field ``GF2``, and ``FormalLog``,
-the rational vector space spanned by the symbols log p for p prime.  All
-arithmetic is exact; there is no floating point and no tolerance anywhere in
-this package.
+Every matrix entry is a ``fractions.Fraction``; an entry of any other type,
+a float, a bool or a ``GF2`` bit among them, is rejected with
+``DomainMismatchError``.  All arithmetic is exact; there is no floating
+point and no tolerance anywhere in this package.  Two scalar types live
+beside the matrices for the holonomy classes: ``GF2``, the bits of the sign
+class, and ``FormalLog``, the prime factorization behind the log classes.
 
 Matrices are stored dense, but all row reduction goes through one sparse
 kernel, ``_RowSpace``: rows are ``{column: nonzero}`` dicts kept in fully
@@ -20,6 +21,8 @@ and do not depend on the order of elimination.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,6 +32,9 @@ from .errors import (
     NotASubspaceError,
     SingularMatrixError,
 )
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class GF2:
@@ -77,97 +83,111 @@ class GF2:
         return f"GF2({self.value})"
 
 
+# The part of an integer left after trial division below _TRIAL_LIMIT may
+# have at most MAX_FACTOR_BITS bits: Pollard rho then needs about 2**16
+# steps on the hardest case, two 32-bit primes, and Miller-Rabin with the
+# first 13 prime bases is exact below 3.3 * 10**24 (Sorenson and Webster
+# 2015).
+MAX_FACTOR_BITS = 64
+_TRIAL_LIMIT = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n with 41 < n < 3.3 * 10**24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard's rho with Brent's
+    cycle detection (Pollard 1975; Brent 1980).  The start and increment are
+    fixed, so the factor found is reproducible."""
+    for c in itertools.count(1):
+        x = y = 2
+        g, steps, power = 1, 0, 1
+        while g == 1:
+            if steps == power:
+                x, steps, power = y, 0, 2 * power
+            y = (y * y + c) % n
+            steps += 1
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+
+
 def _prime_factors(n: int) -> dict:
-    """Factor a positive integer by trial division.  Inputs here are the
-    numerators and denominators of holonomy values, so they stay small."""
+    """Factor a positive integer into {prime: exponent}.  Raises InputError
+    when the part left after trial division has more than MAX_FACTOR_BITS
+    bits."""
     factors = {}
     d = 2
-    while d * d <= n:
+    while d < _TRIAL_LIMIT and d * d <= n:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    if n.bit_length() > MAX_FACTOR_BITS:
+        raise InputError(
+            f"cannot factor {n}: more than {MAX_FACTOR_BITS} bits left after "
+            f"trial division by the primes below {_TRIAL_LIMIT}",
+            bits=n.bit_length(),
+        )
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        # m has no prime factor below d, so m < d * d makes it prime
+        if m < d * d or _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            pending += [f, m // f]
     return factors
 
 
 class FormalLog:
-    """A finite rational combination of the symbols log p, p prime.
+    """log |q| for a nonzero rational q, as the integer combination of the
+    symbols log p, p prime, given by the prime factorization of q.  The
+    coefficient of log p is the p-adic valuation of q.
 
-    ``FormalLog.of(q)`` encodes log |q| for a nonzero rational q through the
-    prime factorization of q, so additivity log(q1*q2) = log q1 + log q2
-    holds exactly and the symbols log p stay linearly independent over the
-    rationals for free.
+    Each numerator and denominator is factored by trial division, Miller-Rabin
+    and Pollard rho; one with more than ``MAX_FACTOR_BITS`` bits left after
+    trial division raises ``InputError`` instead of running for hours.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        for p, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[int(p)] = c
-        self.coeffs = clean
+    def __init__(self, coeffs):
+        self.coeffs = {p: Fraction(c) for p, c in coeffs.items() if c}
 
     @classmethod
     def of(cls, q) -> "FormalLog":
         q = Fraction(q)
         if q == 0:
             raise ZeroDivisionError("log of zero")
-        coeffs: dict = {}
-        for p, e in _prime_factors(abs(q.numerator)).items():
-            coeffs[p] = coeffs.get(p, 0) + e
+        coeffs = _prime_factors(abs(q.numerator))
         for p, e in _prime_factors(q.denominator).items():
             coeffs[p] = coeffs.get(p, 0) - e
         return cls(coeffs)
 
     def coefficient(self, p: int) -> Fraction:
-        return self.coeffs.get(p, Fraction(0))
+        return self.coeffs.get(p, _ZERO)
 
     def primes(self) -> tuple:
         return tuple(sorted(self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, FormalLog):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return FormalLog(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, FormalLog):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return FormalLog({p: -c for p, c in self.coeffs.items()})
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return FormalLog({p: c * scalar for p, c in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.coeffs
-        return isinstance(other, FormalLog) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "FormalLog(0)"
-        parts = [f"{c}*log({p})" for p, c in sorted(self.coeffs.items())]
-        return "FormalLog(" + " + ".join(parts) + ")"
 
 
 def _coerce_rational(x):
@@ -180,52 +200,13 @@ def _coerce_rational(x):
     )
 
 
-def _coerce_bit(x):
-    if isinstance(x, GF2):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return GF2(x)
-    raise DomainMismatchError(f"cannot coerce {type(x).__name__} into GF(2)")
-
-
-def _coerce_log(x):
-    if isinstance(x, FormalLog):
-        return x
-    if x == 0 and isinstance(x, int):
-        return FormalLog()
-    raise DomainMismatchError(
-        f"cannot coerce {type(x).__name__} into the formal-log domain"
-    )
-
-
-class Domain:
-    """Tag object describing one scalar domain usable in matrices."""
-
-    __slots__ = ("name", "zero", "one", "is_field", "coerce")
-
-    def __init__(self, name, zero, one, is_field, coerce):
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self.is_field = is_field
-        self.coerce = coerce
-
-    def __repr__(self):
-        return f"Domain({self.name})"
-
-
-RATIONALS = Domain("rational", Fraction(0), Fraction(1), True, _coerce_rational)
-BITS = Domain("bit", GF2(0), GF2(1), True, _coerce_bit)
-LOGS = Domain("formal-log", FormalLog(), None, False, _coerce_log)
-
-
 class Matrix:
-    """Immutable dense matrix over a single scalar domain."""
+    """Immutable dense matrix of rationals."""
 
-    __slots__ = ("rows", "cols", "domain", "entries")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable[Iterable], domain: Domain = RATIONALS, cols: int | None = None):
-        coerced = tuple(tuple(domain.coerce(x) for x in row) for row in entries)
+    def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
+        coerced = tuple(tuple(_coerce_rational(x) for x in row) for row in entries)
         nrows = len(coerced)
         if nrows:
             ncols = len(coerced[0])
@@ -239,39 +220,24 @@ class Matrix:
             ncols = cols
         self.rows = nrows
         self.cols = ncols
-        self.domain = domain
         self.entries = coerced
 
     @classmethod
-    def identity(cls, n: int, domain: Domain = RATIONALS) -> "Matrix":
-        if domain.one is None:
-            raise DomainMismatchError(f"{domain.name} has no multiplicative identity")
-        z, o = domain.zero, domain.one
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)], domain)
+    def identity(cls, n: int) -> "Matrix":
+        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, domain: Domain = RATIONALS) -> "Matrix":
-        z = domain.zero
-        return cls([[z] * cols for _ in range(rows)], domain, cols=cols)
+    def zeros(cls, rows: int, cols: int) -> "Matrix":
+        return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
-    def diagonal(cls, values: Sequence, domain: Domain = RATIONALS) -> "Matrix":
+    def diagonal(cls, values: Sequence) -> "Matrix":
         n = len(values)
-        z = domain.zero
-        return cls(
-            [[values[i] if i == j else z for j in range(n)] for i in range(n)], domain
-        )
-
-    def _check_domain(self, other: "Matrix"):
-        if self.domain.name != other.domain.name:
-            raise DomainMismatchError(
-                f"mixed scalar domains: {self.domain.name} and {other.domain.name}"
-            )
+        return cls([[values[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_domain(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch in matrix addition")
         return Matrix(
@@ -279,7 +245,6 @@ class Matrix:
                 [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
             ],
-            self.domain,
             cols=self.cols,
         )
 
@@ -289,53 +254,46 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(
-            [[-x for x in row] for row in self.entries], self.domain, cols=self.cols
-        )
+        return Matrix([[-x for x in row] for row in self.entries], cols=self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            self._check_domain(other)
             if self.cols != other.rows:
                 raise InputError("shape mismatch in matrix product")
-            z = self.domain.zero
             cols = tuple(zip(*other.entries)) if other.rows else ()
             out = []
             for row in self.entries:
                 new = []
                 for j in range(other.cols):
-                    acc = z
+                    acc = _ZERO
                     for a, b in zip(row, (cols[j] if cols else ())):
                         acc = acc + a * b
                     new.append(acc)
                 out.append(new)
-            return Matrix(out, self.domain, cols=other.cols)
+            return Matrix(out, cols=other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, scalar) -> "Matrix":
-        s = self.domain.coerce(scalar)
-        return Matrix(
-            [[s * x for x in row] for row in self.entries], self.domain, cols=self.cols
-        )
+        s = _coerce_rational(scalar)
+        return Matrix([[s * x for x in row] for row in self.entries], cols=self.cols)
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
             raise InputError("vector length does not match matrix columns")
-        v = [self.domain.coerce(x) for x in vec]
-        z = self.domain.zero
+        v = [_coerce_rational(x) for x in vec]
         out = []
         for row in self.entries:
-            acc = z
+            acc = _ZERO
             for a, b in zip(row, v):
                 acc = acc + a * b
             out.append(acc)
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries)) if self.rows else [], self.domain, cols=self.rows)
+        return Matrix(list(zip(*self.entries)) if self.rows else [], cols=self.rows)
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
@@ -347,22 +305,19 @@ class Matrix:
         if self.rows != self.cols:
             raise SingularMatrixError("only square matrices can be inverted")
         n = self.rows
-        ident = Matrix.identity(n, self.domain)
-        aug = Matrix(
-            [list(r) + list(i) for r, i in zip(self.entries, ident.entries)],
-            self.domain,
-        )
+        ident = Matrix.identity(n)
+        aug = Matrix([list(r) + list(i) for r, i in zip(self.entries, ident.entries)])
         rank, red, pivots = rref(aug)
         # pivots escape into the identity block exactly when self is singular
         if rank < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
-        return Matrix([row[n:] for row in red.entries], self.domain, cols=n)
+        return Matrix([row[n:] for row in red.entries], cols=n)
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
             raise InputError("matrix power needs a square matrix")
         base = self if k >= 0 else self.inverse()
-        out = Matrix.identity(self.rows, self.domain)
+        out = Matrix.identity(self.rows)
         k = abs(k)
         # repeated squaring; powers of one matrix commute, so the exact
         # result equals the k-fold product
@@ -375,23 +330,20 @@ class Matrix:
         return out
 
     def kron(self, other: "Matrix") -> "Matrix":
-        self._check_domain(other)
         out = []
         for r1 in self.entries:
             for r2 in other.entries:
                 out.append([a * b for a in r1 for b in r2])
-        return Matrix(out, self.domain, cols=self.cols * other.cols)
+        return Matrix(out, cols=self.cols * other.cols)
 
     def is_zero(self) -> bool:
-        z = self.domain.zero
-        return all(x == z for row in self.entries for x in row)
+        return all(x == 0 for row in self.entries for x in row)
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols or self.domain.one is None:
+        if self.rows != self.cols:
             return False
-        z, o = self.domain.zero, self.domain.one
         return all(
-            x == (o if i == j else z)
+            x == (1 if i == j else 0)
             for i, row in enumerate(self.entries)
             for j, x in enumerate(row)
         )
@@ -399,14 +351,13 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.domain.name == other.domain.name
             and self.rows == other.rows
             and self.cols == other.cols
             and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.domain.name, self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
@@ -440,12 +391,7 @@ class _RowSpace:
     do not depend on the order in which the vectors arrive.
     """
 
-    def __init__(self, domain: Domain, vectors=()):
-        if not domain.is_field:
-            raise DomainMismatchError(
-                f"row reduction needs a field domain, {domain.name} is not one"
-            )
-        self.domain = domain
+    def __init__(self, vectors=()):
         self.rows = {}  # pivot column -> row
         for vec in vectors:
             self.add(vec)
@@ -465,7 +411,7 @@ class _RowSpace:
         if not residue:
             return False
         p = min(residue)
-        inv = self.domain.one / residue[p]
+        inv = _ONE / residue[p]
         new = {j: inv * x for j, x in residue.items()}
         for row in self.rows.values():
             f = row.get(p)
@@ -485,26 +431,24 @@ def rref(m: Matrix):
     matrix has the nonzero rows in pivot order followed by zero rows, so it
     keeps the shape of m.
     """
-    space = _RowSpace(m.domain, m.entries)
-    z = m.domain.zero
+    space = _RowSpace(m.entries)
     pivots = tuple(sorted(space.rows))
-    rows = [[z] * m.cols for _ in range(m.rows)]
+    rows = [[_ZERO] * m.cols for _ in range(m.rows)]
     for dense, p in zip(rows, pivots):
         for j, x in space.rows[p].items():
             dense[j] = x
-    return len(pivots), Matrix(rows, m.domain, cols=m.cols), pivots
+    return len(pivots), Matrix(rows, cols=m.cols), pivots
 
 
 def kernel_basis(m: Matrix) -> list:
     """Deterministic basis of the null space, one vector per free column."""
-    space = _RowSpace(m.domain, m.entries)
-    z, o = m.domain.zero, m.domain.one
+    space = _RowSpace(m.entries)
     basis = []
     for j in range(m.cols):
         if j in space.rows:
             continue
-        v = [z] * m.cols
-        v[j] = o
+        v = [_ZERO] * m.cols
+        v[j] = _ONE
         for p, row in space.rows.items():
             x = row.get(j)
             if x is not None:
@@ -513,27 +457,27 @@ def kernel_basis(m: Matrix) -> list:
     return basis
 
 
-def quotient_basis(z_vectors, b_vectors, domain: Domain = RATIONALS) -> list:
+def quotient_basis(z_vectors, b_vectors) -> list:
     """Representatives for span(z) / span(b).
 
     The inclusion span(b) <= span(z) is verified, not assumed.  Returned
     representatives are actual members of ``z_vectors`` chosen greedily in
     input order, so the answer is deterministic and visibly lives in span(z).
     """
-    z_vectors = [tuple(domain.coerce(x) for x in v) for v in z_vectors]
-    b_vectors = [tuple(domain.coerce(x) for x in v) for v in b_vectors]
+    z_vectors = [tuple(_coerce_rational(x) for x in v) for v in z_vectors]
+    b_vectors = [tuple(_coerce_rational(x) for x in v) for v in b_vectors]
     lengths = {len(v) for v in z_vectors} | {len(v) for v in b_vectors}
     if len(lengths) > 1:
         raise InputError("vectors of unequal length")
 
-    span_z = _RowSpace(domain, z_vectors)
+    span_z = _RowSpace(z_vectors)
     for i, v in enumerate(b_vectors):
         if not span_z.contains(v):
             raise NotASubspaceError(
                 "second span is not contained in the first", vector_index=i
             )
 
-    accum = _RowSpace(domain, b_vectors)
+    accum = _RowSpace(b_vectors)
     return [v for v in z_vectors if accum.add(v)]
 
 
@@ -542,11 +486,11 @@ def solve(m: Matrix, rhs: Sequence):
     or None when the system is inconsistent."""
     if len(rhs) != m.rows:
         raise InputError("right-hand side length does not match matrix rows")
-    rhs = [m.domain.coerce(x) for x in rhs]
-    space = _RowSpace(m.domain, (row + (b,) for row, b in zip(m.entries, rhs)))
+    rhs = [_coerce_rational(x) for x in rhs]
+    space = _RowSpace(row + (b,) for row, b in zip(m.entries, rhs))
     if m.cols in space.rows:
         return None
-    x = [m.domain.zero] * m.cols
+    x = [_ZERO] * m.cols
     for p, row in space.rows.items():
-        x[p] = row.get(m.cols, m.domain.zero)
+        x[p] = row.get(m.cols, _ZERO)
     return tuple(x)

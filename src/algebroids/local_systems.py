@@ -44,7 +44,7 @@ from .errors import (
     UnknownGeneratorError,
     UnsupportedRankError,
 )
-from .linalg import Matrix, RATIONALS, rref
+from .linalg import Matrix, rref
 
 
 def _as_matrix(value, rank=None) -> Matrix:

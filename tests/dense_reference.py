@@ -7,12 +7,14 @@ it.  Kernel bases, quotient representatives and solutions are rebuilt here
 from this one loop, so they share no code with the package.
 """
 
+from fractions import Fraction
+
 from algebroids import NotASubspaceError
 
 
-def dense_rref(rows, domain, ncols):
+def dense_rref(rows, ncols):
     """(rank, reduced rows as tuples, pivot columns) of the given rows."""
-    z = domain.zero
+    z = Fraction(0)
     rows = [list(r) for r in rows]
     nr = len(rows)
     pivots = []
@@ -26,7 +28,7 @@ def dense_rref(rows, domain, ncols):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = domain.one / rows[r][c]
+        inv = 1 / rows[r][c]
         rows[r] = [inv * x for x in rows[r]]
         for i in range(nr):
             if i != r and rows[i][c] != z:
@@ -41,8 +43,8 @@ def dense_rref(rows, domain, ncols):
 
 def dense_kernel_basis(m):
     """One null vector per free column, read off the reduced rows."""
-    _, red, pivots = dense_rref(m.entries, m.domain, m.cols)
-    z, o = m.domain.zero, m.domain.one
+    _, red, pivots = dense_rref(m.entries, m.cols)
+    z, o = Fraction(0), Fraction(1)
     basis = []
     for j in range(m.cols):
         if j in pivots:
@@ -57,23 +59,23 @@ def dense_kernel_basis(m):
 
 def dense_solve(m, rhs):
     """The solution with free variables zero, or None if inconsistent."""
-    aug = [tuple(row) + (m.domain.coerce(b),) for row, b in zip(m.entries, rhs)]
-    _, red, pivots = dense_rref(aug, m.domain, m.cols + 1)
+    aug = [tuple(row) + (Fraction(b),) for row, b in zip(m.entries, rhs)]
+    _, red, pivots = dense_rref(aug, m.cols + 1)
     if m.cols in pivots:
         return None
-    x = [m.domain.zero] * m.cols
+    x = [Fraction(0)] * m.cols
     for i, pc in enumerate(pivots):
         x[pc] = red[i][m.cols]
     return tuple(x)
 
 
-def dense_quotient_basis(z_vectors, b_vectors, domain):
+def dense_quotient_basis(z_vectors, b_vectors):
     """Greedy representatives of span(z) / span(b) in input order, by rank
     counts: v is kept when it raises the rank of b plus the kept vectors."""
     width = len((list(z_vectors) + list(b_vectors) or [()])[0])
 
     def rank(vectors):
-        return dense_rref(vectors, domain, width)[0]
+        return dense_rref(vectors, width)[0]
 
     z_vectors = [tuple(v) for v in z_vectors]
     base = rank(z_vectors)

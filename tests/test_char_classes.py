@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from algebroids import (
-    BITS,
     GF2,
     NotClosedError,
     UnsupportedBaseError,

@@ -329,3 +329,30 @@ def test_huge_vertex_count_fails_typed_in_bounded_memory(tmp_path):
         "details": {"vertex": 2},
         "message": "vertex 2 is not reachable from vertex 0",
     }
+
+
+def _cli_process(*argv):
+    """Run the command line in a child process that is killed after 10 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(algebroids.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "algebroids.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+
+
+def test_a_61_bit_prime_holonomy_gets_its_log_class():
+    """Trial division up to the root of 2**61 - 1 would run for hours;
+    Miller-Rabin proves it prime at once."""
+    p = 2**61 - 1
+    proc = _cli_process("char-classes", "--complex", "builtin:torus", "--rep", f"a={p},b=1")
+    assert proc.returncode == 0, proc.stderr
+    assert f"log class p={p}: 1_2:1/1, 2_5:-1/1" in proc.stdout
+    assert "image dims: H1=1 H2=0" in proc.stdout
+
+
+def test_a_holonomy_over_the_factoring_bound_fails_typed():
+    q = 2**89 - 1  # a prime: 89 bits are left after trial division
+    proc = _cli_process("char-classes", "--complex", "builtin:torus", "--rep", f"a=3/{q},b=1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error [BAD_INPUT]: cannot factor ")
