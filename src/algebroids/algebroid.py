@@ -33,6 +33,7 @@ from .cohomology import (
     cohomology,
     cup,
     cup_power,
+    is_flat_section,
     pair_flat,
     pullback_cochain,
     untwisted_space,
@@ -186,7 +187,7 @@ def _sym_embedding(phi: TwistedCochain, A: CommAlgebroid, k: int) -> TwistedCoch
     for v in range(A.base.vertex_count):
         coords = phi.value((v,))
         values[(v,)] = tuple(coords[m] * weight for m, weight in words)
-    return TwistedCochain(target, 0, values)
+    return TwistedCochain._trusted(target, 0, values)
 
 
 def chern_weil(A: CommAlgebroid, phi: TwistedCochain, k: int) -> CohomologyClass:
@@ -199,7 +200,7 @@ def chern_weil(A: CommAlgebroid, phi: TwistedCochain, k: int) -> CohomologyClass
         raise NotInvariantError(
             f"section does not live in the degree-{k} symmetric dual of the adjoint"
         )
-    if not coboundary(phi).is_zero():
+    if not is_flat_section(phi):
         raise NotInvariantError("section is not invariant under the adjoint transport")
     embedded = _sym_embedding(phi, A, k)
     paired = pair_flat(embedded, A._cup_power(k))

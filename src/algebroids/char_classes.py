@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedRankError,
 )
 from .jsonio import format_rational
-from .linalg import FormalLog, GF2, Matrix, _RowSpace, solve
+from .linalg import FormalLog, GF2, Matrix, _RowSpace, _coprime_base, solve
 from .local_systems import LocalSystem, check_flat, trivial_system
 
 
@@ -152,16 +152,33 @@ def log_classes(L: LocalSystem) -> dict:
     whose pairing with any loop is the exponent of that prime in the loop's
     holonomy.  Each non-tree edge holds the exponent of the prime in the
     holonomy of the loop it closes; primes absent from every loop are
-    omitted."""
+    omitted.
+
+    The numerators and denominators of the distinct holonomy values are
+    first refined into a coprime base, and only the base elements are
+    factored, each within ``MAX_FACTOR_BITS``.  So a loop whose holonomy is
+    a product of large generators is accepted when each generator is."""
     _require_rank1_flat(L)
-    logs = {}
+    holonomy = _tree_gauge(L)
+    values = set(holonomy.values())
+    base = _coprime_base(
+        sorted({abs(h.numerator) for h in values} | {h.denominator for h in values})
+    )
+    logs = {b: FormalLog.of(b) for b in base}
+    exponents = {}
     by_prime = {}
-    for e, h in _tree_gauge(L).items():
-        log = logs.get(h)
-        if log is None:
-            log = logs[h] = FormalLog.of(h)
-        for p in log.primes():
-            by_prime.setdefault(p, {})[e] = log.coefficient(p)
+    for e, h in holonomy.items():
+        coeffs = exponents.get(h)
+        if coeffs is None:
+            coeffs = exponents[h] = {}
+            for part, sign in ((abs(h.numerator), 1), (h.denominator, -1)):
+                for b in base:
+                    while part % b == 0:
+                        part //= b
+                        for p in logs[b].primes():
+                            coeffs[p] = coeffs.get(p, 0) + sign * logs[b].coefficient(p)
+        for p in sorted(coeffs):
+            by_prime.setdefault(p, {})[e] = coeffs[p]
     return {p: EdgeClass(L.base, by_prime[p]) for p in sorted(by_prime)}
 
 

@@ -12,6 +12,14 @@ d squares to zero exactly when the system is flat.  Everything here is exact
 rational linear algebra: kernels, images and quotient representatives come
 from the reduced row echelon forms of the linalg module, which are unique,
 so bases are stable across runs.  Dimensions alone need only ranks.
+
+Each space keeps the echelon form of its coboundaries, so the coordinates
+of a class cost one reduction and a solve as small as the space.  A section
+is tested for flatness edge by edge, T(i, j) phi(j) == phi(i), and both that
+test and the coboundary apply each distinct transport object to each
+distinct value once per call.  Cochains computed by the package itself are
+built by ``TwistedCochain._trusted``; the public constructor still checks
+and coerces what callers pass.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .errors import (
     NotFlatError,
     UnknownGeneratorError,
 )
-from .linalg import Matrix, kernel_basis, quotient_basis, rref, solve
+from .linalg import Matrix, _RowSpace, _subtract, kernel_basis, rref, solve
 from .local_systems import (
     LocalSystem,
     _once_per_object,
@@ -38,6 +46,8 @@ from .local_systems import (
     pullback_system,
     trivial_system,
 )
+
+_ZERO = Fraction(0)
 
 
 def _normalize_simplex(key) -> tuple:
@@ -82,6 +92,18 @@ class TwistedCochain:
             out[s] = vec
         self.values = out
 
+    @classmethod
+    def _trusted(cls, system: LocalSystem, degree: int, values: dict) -> "TwistedCochain":
+        """A cochain the package computed itself, taken as it is: ``values``
+        holds a tuple of ``system.rank`` Fractions for every degree-n simplex
+        of the base, in simplex order.  Only values from outside the package
+        need the checks and the coercion of the constructor."""
+        phi = object.__new__(cls)
+        phi.system = system
+        phi.degree = degree
+        phi.values = values
+        return phi
+
     def value(self, simplex) -> tuple:
         return self.values[_normalize_simplex(simplex)]
 
@@ -116,7 +138,7 @@ class TwistedCochain:
             s: tuple(a + b for a, b in zip(v, other.values[s]))
             for s, v in self.values.items()
         }
-        return TwistedCochain(self.system, self.degree, values)
+        return TwistedCochain._trusted(self.system, self.degree, values)
 
     def __sub__(self, other):
         self._check_compatible(other)
@@ -124,12 +146,12 @@ class TwistedCochain:
             s: tuple(a - b for a, b in zip(v, other.values[s]))
             for s, v in self.values.items()
         }
-        return TwistedCochain(self.system, self.degree, values)
+        return TwistedCochain._trusted(self.system, self.degree, values)
 
     def scale(self, scalar) -> "TwistedCochain":
         scalar = Fraction(scalar)
         values = {s: tuple(scalar * a for a in v) for s, v in self.values.items()}
-        return TwistedCochain(self.system, self.degree, values)
+        return TwistedCochain._trusted(self.system, self.degree, values)
 
     def __neg__(self):
         return self.scale(-1)
@@ -156,23 +178,58 @@ def zero_cochain(system: LocalSystem, degree: int) -> TwistedCochain:
     return TwistedCochain(system, degree)
 
 
+def _transport_action():
+    """``T.apply(v)`` memoised by ``(id(T), v)``, for the length of one
+    call: the memo must not outlive the transports it is keyed on.  An
+    identity transport returns v itself, decided once per object.  In tree
+    gauge most transports are one shared identity and a flat section is
+    constant, so a pass over every edge applies each distinct transport to
+    about one value."""
+    is_identity = _once_per_object(Matrix.is_identity)
+    memo = {}
+
+    def act(t: Matrix, v: tuple) -> tuple:
+        if is_identity(t):
+            return v
+        key = (id(t), v)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = t.apply(v)
+        return out
+
+    return act
+
+
 def coboundary(phi: TwistedCochain) -> TwistedCochain:
     L = phi.system
     n = phi.degree
-    is_identity = _once_per_object(Matrix.is_identity)
+    values = phi.values
+    act = _transport_action()
     out = {}
     for tau in L.base.simplices_of_dim(n + 1):
-        front = L.matrix(tau[0], tau[1])
-        back = phi.value(tau[1:])
-        acc = list(back) if is_identity(front) else list(front.apply(back))
+        acc = list(act(L.matrix(tau[0], tau[1]), values[tau[1:]]))
         sign = -1
         for i in range(1, n + 2):
-            face_value = phi.value(tau[:i] + tau[i + 1 :])
+            face_value = values[tau[:i] + tau[i + 1 :]]
             for a in range(L.rank):
                 acc[a] += sign * face_value[a]
             sign = -sign
         out[tau] = tuple(acc)
-    return TwistedCochain(L, n + 1, out)
+    return TwistedCochain._trusted(L, n + 1, out)
+
+
+def is_flat_section(phi: TwistedCochain) -> bool:
+    """Whether a 0-cochain is flat: T(i, j) phi(j) == phi(i) on every edge
+    (i, j), which is exactly ``coboundary(phi).is_zero()`` without building
+    the coboundary."""
+    if phi.degree != 0:
+        raise DegreeError("a flat section is a 0-cochain")
+    L = phi.system
+    values = phi.values
+    act = _transport_action()
+    return all(
+        act(L.matrix(i, j), values[(j,)]) == values[(i,)] for i, j in L.base.edges
+    )
 
 
 def coboundary_matrix(L: LocalSystem, n: int) -> Matrix:
@@ -252,15 +309,42 @@ def _matrix_from_columns(cols, height: int) -> Matrix:
 
 class CohomologySpace:
     """H^n of a flat system: dimension, chosen cocycle representatives, and
-    coordinates of arbitrary cocycles in the chosen basis."""
+    coordinates of arbitrary cocycles in the chosen basis.
 
-    def __init__(self, system, degree, representatives, rep_vectors, image_columns):
+    Built from a basis of Z^n and a spanning list of B^n.  The echelon form
+    of B^n is computed once and kept.  Representatives are the members of
+    the Z^n basis chosen greedily in order, each kept when it is not in the
+    span of B^n and the ones kept before: the choice of ``quotient_basis``.
+    A cocycle's residue modulo B^n vanishes in the pivot columns of B^n,
+    and Z^n has one more pivot column per representative, so the
+    representatives' residues restricted to those new columns form an
+    invertible dim x dim block.  The coordinates of a class are then one
+    reduction against B^n and one dim x dim solve, checked by subtracting
+    the combination from the residue; they are unique once the
+    representatives are fixed."""
+
+    def __init__(self, system, degree, z_vectors=(), b_vectors=()):
         self.system = system
         self.degree = degree
-        self.representatives = representatives
-        self.dimension = len(representatives)
-        self._rep_vectors = rep_vectors
-        self._image_columns = image_columns
+        self._image = _RowSpace(b_vectors)
+        span = self._image.copy()
+        self._rep_vectors = [v for v in z_vectors if span.add(v)]
+        # the Z^n basis is independent, so B^n lies inside Z^n exactly when
+        # adding B^n leaves the span at dim Z^n
+        if len(span.rows) != len(z_vectors):
+            raise NotASubspaceError(
+                "coboundaries are not all cocycles", degree=degree
+            )
+        self._columns = sorted(span.rows.keys() - self._image.rows.keys())
+        self._residues = [self._image.reduce(v) for v in self._rep_vectors]
+        self._block = Matrix._trusted(
+            tuple(tuple(r.get(p, _ZERO) for r in self._residues) for p in self._columns),
+            len(self._residues),
+        )
+        self.representatives = [
+            TwistedCochain.from_vector(system, degree, v) for v in self._rep_vectors
+        ]
+        self.dimension = len(self.representatives)
 
     def coordinates_of(self, phi: TwistedCochain) -> tuple:
         """Coefficients of phi's class in the representative basis."""
@@ -271,11 +355,14 @@ class CohomologySpace:
         vec = phi.vector()
         if not vec:
             return ()
-        m = _matrix_from_columns(list(self._rep_vectors) + list(self._image_columns), len(vec))
-        coeffs = solve(m, vec)
-        if coeffs is None:
+        residue = self._image.reduce(vec)
+        coeffs = solve(self._block, [residue.get(p, _ZERO) for p in self._columns])
+        for c, r in zip(coeffs, self._residues):
+            if c:
+                _subtract(residue, c, r)
+        if residue:
             raise NotASubspaceError("cocycle is not in the computed kernel")
-        return tuple(coeffs[: self.dimension])
+        return coeffs
 
     def class_of(self, phi: TwistedCochain) -> "CohomologyClass":
         return CohomologyClass(self.degree, self.coordinates_of(phi))
@@ -333,22 +420,16 @@ def cohomology(L: LocalSystem, n: int) -> CohomologySpace:
     violations = check_flat(L)
     if violations:
         raise NotFlatError("system is not flat", triangles=violations)
-    simplices = L.base.simplices_of_dim(n)
-    if not simplices:
-        return CohomologySpace(L, n, [], [], [])
+    if not L.base.simplices_of_dim(n):
+        return CohomologySpace(L, n)
     if n == 0:
-        rep_vectors = _flat_sections(L)
-        image_columns = []
-    else:
-        z_vectors = kernel_basis(coboundary_matrix(L, n))
-        d_prev = coboundary_matrix(L, n - 1)
-        image_columns = [
-            tuple(d_prev.entries[i][j] for i in range(d_prev.rows))
-            for j in range(d_prev.cols)
-        ]
-        rep_vectors = quotient_basis(z_vectors, image_columns)
-    representatives = [TwistedCochain.from_vector(L, n, v) for v in rep_vectors]
-    return CohomologySpace(L, n, representatives, rep_vectors, image_columns)
+        return CohomologySpace(L, 0, _flat_sections(L))
+    d_prev = coboundary_matrix(L, n - 1)
+    image_columns = [
+        tuple(d_prev.entries[i][j] for i in range(d_prev.rows))
+        for j in range(d_prev.cols)
+    ]
+    return CohomologySpace(L, n, kernel_basis(coboundary_matrix(L, n)), image_columns)
 
 
 def cohomology_dims(L: LocalSystem, up_to: int | None = None) -> tuple:
@@ -448,7 +529,7 @@ def cup(alpha: TwistedCochain, beta: TwistedCochain) -> TwistedCochain:
         a = alpha.value(front)
         b = beta.system.transport_along(front).apply(beta.value(sigma[p:]))
         out[sigma] = tuple(x * y for x in a for y in b)
-    return TwistedCochain(system, p + q, out)
+    return TwistedCochain._trusted(system, p + q, out)
 
 
 def cup_power(omega: TwistedCochain, k: int) -> TwistedCochain:
@@ -476,15 +557,15 @@ def pair_flat(phi: TwistedCochain, omega: TwistedCochain) -> TwistedCochain:
         raise BaseMismatchError("pairing needs a common base complex")
     if phi.system != dual(omega.system):
         raise InputError("pairing section must live in the dual system")
-    if not coboundary(phi).is_zero():
+    if not is_flat_section(phi):
         raise NotFlatError("pairing section is not flat")
     base = omega.system.base
     out = {}
     for sigma in base.simplices_of_dim(omega.degree):
-        fv = phi.value((sigma[0],))
-        ov = omega.value(sigma)
+        fv = phi.values[sigma[:1]]
+        ov = omega.values[sigma]
         out[sigma] = (sum(x * y for x, y in zip(fv, ov)),)
-    return TwistedCochain(trivial_system(base, 1), omega.degree, out)
+    return TwistedCochain._trusted(trivial_system(base, 1), omega.degree, out)
 
 
 def boundary_matrix(c: Complex, n: int) -> Matrix:

@@ -5,7 +5,14 @@ a float, a bool or a ``GF2`` bit among them, is rejected with
 ``DomainMismatchError``.  All arithmetic is exact; there is no floating
 point and no tolerance anywhere in this package.  Two scalar types live
 beside the matrices for the holonomy classes: ``GF2``, the bits of the sign
-class, and ``FormalLog``, the prime factorization behind the log classes.
+class, and ``FormalLog``, the prime factorization behind the log classes,
+which ``_coprime_base`` lets callers apply to coprime parts of their values
+instead of to whole products.
+
+The public constructors coerce and shape-check every entry.  Results of
+the package's own arithmetic (products, sums, Kronecker products, scaling,
+identities) are built by ``Matrix._trusted``, which takes entries that are
+already tuples of Fractions as they are.
 
 Matrices are stored dense, but all row reduction goes through one sparse
 kernel, ``_RowSpace``: rows are ``{column: nonzero}`` dicts kept in fully
@@ -158,6 +165,32 @@ def _prime_factors(n: int) -> dict:
     return factors
 
 
+def _coprime_base(values) -> list:
+    """Pairwise coprime integers above 1, in order of discovery, such that
+    every positive integer in ``values`` is a product of their powers (factor
+    refinement; Bach, Driscoll and Shallit 1993).  Only gcds are taken, so a
+    value whose large prime factors also occur in other values splits into
+    parts that can be factored alone: a loop holonomy a * b of two large
+    generators is refined to a and b."""
+    base = []
+    for n in values:
+        pending = [n]
+        while pending:
+            x = pending.pop()
+            if x == 1:
+                continue
+            for i, b in enumerate(base):
+                g = math.gcd(x, b)
+                if g > 1:
+                    # the product of base and pending falls by g, so this ends
+                    del base[i]
+                    pending += [g, b // g, x // g]
+                    break
+            else:
+                base.append(x)
+    return base
+
+
 class FormalLog:
     """log |q| for a nonzero rational q, as the integer combination of the
     symbols log p, p prime, given by the prime factorization of q.  The
@@ -223,12 +256,26 @@ class Matrix:
         self.entries = coerced
 
     @classmethod
+    def _trusted(cls, entries: tuple, cols: int) -> "Matrix":
+        """A matrix of entries the package computed itself, taken as they
+        are: a tuple of tuples of ``cols`` Fractions each.  Only values
+        from outside the package need the coercion and the shape checks of
+        the constructor."""
+        m = object.__new__(cls)
+        m.rows = len(entries)
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._trusted(
+            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted(tuple((_ZERO,) * cols for _ in range(rows)), cols)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
@@ -240,12 +287,12 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch in matrix addition")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
+        return Matrix._trusted(
+            tuple(
+                tuple(a + b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
+            ),
+            self.cols,
         )
 
     def __sub__(self, other):
@@ -254,7 +301,7 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
-        return Matrix([[-x for x in row] for row in self.entries], cols=self.cols)
+        return Matrix._trusted(tuple(tuple(-x for x in row) for row in self.entries), self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -269,8 +316,8 @@ class Matrix:
                     for a, b in zip(row, (cols[j] if cols else ())):
                         acc = acc + a * b
                     new.append(acc)
-                out.append(new)
-            return Matrix(out, cols=other.cols)
+                out.append(tuple(new))
+            return Matrix._trusted(tuple(out), other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -278,7 +325,7 @@ class Matrix:
 
     def scale(self, scalar) -> "Matrix":
         s = _coerce_rational(scalar)
-        return Matrix([[s * x for x in row] for row in self.entries], cols=self.cols)
+        return Matrix._trusted(tuple(tuple(s * x for x in row) for row in self.entries), self.cols)
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
@@ -333,8 +380,8 @@ class Matrix:
         out = []
         for r1 in self.entries:
             for r2 in other.entries:
-                out.append([a * b for a in r1 for b in r2])
-        return Matrix(out, cols=self.cols * other.cols)
+                out.append(tuple(a * b for a in r1 for b in r2))
+        return Matrix._trusted(tuple(out), self.cols * other.cols)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -422,6 +469,11 @@ class _RowSpace:
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
+
+    def copy(self) -> "_RowSpace":
+        out = _RowSpace()
+        out.rows = {p: dict(row) for p, row in self.rows.items()}
+        return out
 
 
 def rref(m: Matrix):

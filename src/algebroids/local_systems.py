@@ -25,7 +25,9 @@ Equal transports are usually one shared object: the tree edges carry one
 identity, and ``from_representation`` builds one matrix per distinct winding
 vector.  Every per-edge operation (inverse, dual, tensor, symmetric power,
 the flatness law) runs once per distinct source object, so a derived system
-costs one step per transport value and inherits the sharing.
+costs one step per transport value and inherits the sharing.  The flatness
+law multiplies only when neither factor is the identity, and its list of
+violated triangles is computed once per system and kept on it.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ class LocalSystem:
         self._inverse = _once_per_object(lambda m: m if m.is_identity() else m.inverse())
         self._dual = None
         self._factors = None
+        self._violations = None
 
     @classmethod
     def build(cls, base: Complex, rank: int, transport: Mapping) -> "LocalSystem":
@@ -163,14 +166,29 @@ def trivial_system(c: Complex, rank: int = 1) -> LocalSystem:
 
 
 def check_flat(L: LocalSystem) -> list:
-    """All triangles violating the transport composition law, in order.  The
-    law is evaluated once per distinct triple of transport objects."""
-    composes = _once_per_object(lambda a, b, c: a * b == c)
-    return [
-        (i, j, k)
-        for i, j, k in L.base.triangles
-        if not composes(L.matrix(i, j), L.matrix(j, k), L.matrix(i, k))
-    ]
+    """All triangles violating the transport composition law, in order.
+
+    The law is evaluated once per distinct triple of transport objects, and
+    a triple with an identity factor compares without a product, since
+    I * b == c is exactly b == c.  The list is computed once per system and
+    kept on it."""
+    if L._violations is None:
+        is_identity = _once_per_object(Matrix.is_identity)
+
+        def law(a, b, c):
+            if is_identity(a):
+                return b == c
+            if is_identity(b):
+                return a == c
+            return a * b == c
+
+        composes = _once_per_object(law)
+        L._violations = tuple(
+            (i, j, k)
+            for i, j, k in L.base.triangles
+            if not composes(L.matrix(i, j), L.matrix(j, k), L.matrix(i, k))
+        )
+    return list(L._violations)
 
 
 def is_flat(L: LocalSystem) -> bool:

@@ -119,14 +119,19 @@ def test_a_query_leaves_no_cyclic_garbage(run):
 
 
 def test_a_chern_weil_query_leaves_no_cyclic_garbage(run):
-    """The memoised duals, the tensor factors and the algebroid's
-    per-power systems all point one way, so they form no cycle."""
+    """The memoised duals, the tensor factors, the algebroid's per-power
+    systems, the violations kept on each system and the echelon image kept
+    on each space all point one way, and the per-call memos of transport
+    actions die with their call, so nothing forms a cycle."""
     leaked = _cyclic_garbage_after(
         run, "chern-weil", "--complex", "builtin:torus3x3",
         "--rep-file", str(FIXTURES / "rep2_unipotent.json"),
         "--omega", str(FIXTURES / "omega_torus3x3_rank2.json"), "--max-k", "2",
     )
-    assert not leaked & {"Complex", "LocalSystem", "CohomologySpace"}
+    assert not leaked & {
+        "Complex", "LocalSystem", "CohomologySpace", "CommAlgebroid", "TwistedCochain",
+        "Matrix", "_RowSpace", "function", "cell",
+    }
 
 
 def test_cohomology_json_is_deterministic(run):
@@ -186,6 +191,71 @@ def test_chern_weil_inverts_only_adjoint_transports(run, monkeypatch):
     assert inverted
     assert set(inverted) == {(3, 3)}
     assert len(inverted) <= len(resolve_complex_spec("builtin:torus4x4").edges)
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Rebind a package function in every module namespace that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "algebroids" or name.startswith("algebroids."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_chern_weil_checks_act_once_per_transport_and_value(run, monkeypatch):
+    """A rank-3 query's section checks apply each transport object to each
+    value at most once, and the flatness law multiplies no triple with an
+    identity factor."""
+    cohomology = sys.modules["algebroids.cohomology"]
+    local_systems = sys.modules["algebroids.local_systems"]
+
+    applied = []  # per section check: (transport object, value) keys
+    products = []  # per flatness check: factor pairs multiplied
+    frames = []
+    apply, mul = Matrix.apply, Matrix.__mul__
+    is_flat_section, check_flat = cohomology.is_flat_section, local_systems.check_flat
+
+    def within(log, fn):
+        def wrapped(*args):
+            log.append([])
+            frames.append(log[-1])
+            try:
+                return fn(*args)
+            finally:
+                frames.pop()
+        return wrapped
+
+    def counting_apply(m, vec):
+        if frames and frames[-1] in applied:
+            frames[-1].append((id(m), tuple(vec)))
+        return apply(m, vec)
+
+    def counting_mul(a, b):
+        if frames and frames[-1] in products:
+            products[-1].append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Matrix, "apply", counting_apply)
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    _patch_everywhere(monkeypatch, is_flat_section, within(applied, is_flat_section))
+    _patch_everywhere(monkeypatch, check_flat, within(products, check_flat))
+    code, out, _ = run(
+        "chern-weil", "--complex", "builtin:torus4x4",
+        "--rep-file", str(FIXTURES / "rep3_unipotent.json"),
+        "--omega", str(FIXTURES / "omega_torus4x4_rank3.json"), "--max-k", "2",
+    )
+    assert code == 0
+    assert "k=2: invariant sections" in out
+    edges = len(resolve_complex_spec("builtin:torus4x4").edges)
+    # one check per section in chern_weil and one more in pair_flat
+    assert len(applied) >= 4
+    for keys in applied:
+        assert len(keys) == len(set(keys))
+        assert len(keys) < edges
+    assert any(applied) and any(products)
+    for pairs in products:
+        for a, b in pairs:
+            assert not a.is_identity() and not b.is_identity()
 
 
 def test_char_classes_text(run):
@@ -348,6 +418,31 @@ def test_a_61_bit_prime_holonomy_gets_its_log_class():
     assert proc.returncode == 0, proc.stderr
     assert f"log class p={p}: 1_2:1/1, 2_5:-1/1" in proc.stdout
     assert "image dims: H1=1 H2=0" in proc.stdout
+
+
+def test_a_loop_through_two_large_generators_is_factored_by_parts():
+    """The loop whose holonomy is a * b has 125 bits, over the bound, but a
+    and b each appear alone on other loops, so the coprime base splits it
+    and each prime is factored by itself."""
+    a, b = 2305843009213693951, 18446744073709551557  # primes of 61 and 64 bits
+    proc = _cli_process("surjectivity", "--complex", "builtin:torus", "--rep", f"a={a},b={b}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "surjective: true",
+        f"  a_dual = 1/1 * l{a}",
+        f"  b_dual = 1/1 * l{b}",
+        f"  fundamental = 1/1 * l{a}*l{b}",
+    ]
+
+
+def test_large_primes_that_never_appear_apart_fail_typed():
+    """A generator that is itself a product of two large primes gives no
+    gcd to split it by, so its 125 bits are over the bound."""
+    ab = 2305843009213693951 * 18446744073709551557
+    proc = _cli_process("char-classes", "--complex", "builtin:torus", "--rep", f"a={ab},b=1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error [BAD_INPUT]: cannot factor {ab}: ")
 
 
 def test_a_holonomy_over_the_factoring_bound_fails_typed():

@@ -8,6 +8,7 @@ from algebroids import (
     DegreeError,
     InputError,
     Matrix,
+    NotASubspaceError,
     NotClosedError,
     NotFlatError,
     TwistedCochain,
@@ -34,6 +35,7 @@ from algebroids import (
     pullback_cochain,
     quotient_basis,
     simplicial_map,
+    solve,
     sym_power,
     tensor_system,
     torus_grid,
@@ -42,6 +44,7 @@ from algebroids import (
     untwisted_space,
     zero_cochain,
 )
+from algebroids.cohomology import CohomologySpace, is_flat_section
 
 from conftest import (
     circle_in_torus_maps,
@@ -444,3 +447,126 @@ def test_fiber_h0_matches_kernel_of_d0(model, rank):
             assert [phi.vector() for phi in space.representatives] == expected
             dims.add(space.dimension)
     assert 0 in dims and max(dims) > 0
+
+
+DIFFERENTIAL_BASES = {
+    "torus": torus_grid(3, 3), "torus4x4": torus_grid(4, 4), "circle5": circle_model(5),
+}
+
+
+def _gauged_systems(model, rank):
+    """Seeded gauge transforms of tree-gauge systems of every kind; rank 3,
+    the dearest, keeps one kind with cohomology and one without."""
+    c = DIFFERENTIAL_BASES[model]
+    rng = random.Random(f"gauged:{model}:{rank}")
+    kinds = ("unipotent", "generic") if rank == 3 else ("trivial", "unipotent", "diagonal", "generic")
+    for kind in kinds:
+        L = from_representation(c, _h0_images(kind, sorted(c.named_loops), rank))
+        yield kind, random_gauge(rng, L)
+
+
+def _image_columns(L, n) -> list:
+    if n == 0:
+        return []
+    d_prev = coboundary_matrix(L, n - 1)
+    return [tuple(row[j] for row in d_prev.entries) for j in range(d_prev.cols)]
+
+
+def _solve_coordinates(space, image_columns, phi):
+    """The coordinates as one solve of [representatives | image] x = phi, the
+    way they were computed before the space kept the echelon image; None
+    when phi is not in the span."""
+    columns = list(space._rep_vectors) + image_columns
+    vec = phi.vector()
+    if columns:
+        m = Matrix(list(zip(*columns)), cols=len(columns))
+    else:
+        m = Matrix([()] * len(vec), cols=0)
+    coeffs = solve(m, vec)
+    return None if coeffs is None else coeffs[: space.dimension]
+
+
+@pytest.mark.parametrize("model", sorted(DIFFERENTIAL_BASES))
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_coordinates_of_matches_one_solve_against_reps_and_image(model, rank):
+    """The kept echelon image and the dim x dim solve give the coordinates a
+    full solve of [reps | image] gives, on random cocycles of every degree,
+    and the representatives are the ones ``quotient_basis`` chooses."""
+    rng = random.Random(f"coordinates:{model}:{rank}")
+    dims = set()
+    for kind, L in _gauged_systems(model, rank):
+        for n in range(L.base.dimension + 1):
+            space = cohomology(L, n)
+            image = _image_columns(L, n)
+            if n > 0:
+                z = kernel_basis(coboundary_matrix(L, n))
+                assert space._rep_vectors == quotient_basis(z, image), (kind, n)
+            dims.add(space.dimension)
+            for _ in range(2):
+                phi = zero_cochain(L, n)
+                for rep in space.representatives:
+                    phi = phi + rep.scale(rand_fraction(rng))
+                if n > 0:
+                    phi = phi + coboundary(random_cochain(rng, L, n - 1))
+                expected = _solve_coordinates(space, image, phi)
+                assert expected is not None
+                assert space.coordinates_of(phi) == expected, (kind, n)
+    assert 0 in dims and max(dims) > 0
+
+
+@pytest.mark.parametrize("model", sorted(DIFFERENTIAL_BASES))
+def test_coordinates_of_still_rejects_what_the_kernel_does_not_span(model):
+    """A space built on too small a kernel basis refuses a cocycle outside
+    it, as the full solve does; a kernel basis that misses part of the image
+    fails the inclusion check."""
+    c = DIFFERENTIAL_BASES[model]
+    L = random_gauge(random.Random(f"not-a-subspace:{model}"), trivial_system(c, 2))
+    image = _image_columns(L, 1)
+    boundaries = quotient_basis(image, [])
+    space = CohomologySpace(L, 1, boundaries, image)
+    assert space.dimension == 0
+    loop = cohomology(L, 1).representatives[0]
+    assert _solve_coordinates(space, image, loop) is None
+    with pytest.raises(NotASubspaceError):
+        space.coordinates_of(loop)
+    assert space.coordinates_of(coboundary(random_cochain(random.Random(1), L, 0))) == ()
+    with pytest.raises(NotASubspaceError):
+        CohomologySpace(L, 1, boundaries[1:], image)
+
+
+@pytest.mark.parametrize("model", sorted(DIFFERENTIAL_BASES))
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_flat_section_test_matches_the_coboundary(model, rank):
+    """T(i, j) phi(j) == phi(i) on every edge decides flatness exactly as
+    d phi == 0 does, on flat sections, their combinations, random sections
+    and flat sections changed at one vertex."""
+    rng = random.Random(f"flat-section:{model}:{rank}")
+    seen = set()
+    for kind, L in _gauged_systems(model, rank):
+        for S in (L, dual(L), sym_power(dual(L), 2)):
+            flat = cohomology(S, 0).representatives
+            sections = list(flat) + [zero_cochain(S, 0), random_cochain(rng, S, 0)]
+            if flat:
+                combo = zero_cochain(S, 0)
+                for phi in flat:
+                    combo = combo + phi.scale(rand_fraction(rng, nonzero=True))
+                bumped = dict(combo.values)
+                v = (rng.randrange(S.base.vertex_count),)
+                bumped[v] = tuple(x + 1 for x in bumped[v])
+                sections += [combo, TwistedCochain(S, 0, bumped)]
+            for phi in sections:
+                flat_by_edges = is_flat_section(phi)
+                assert flat_by_edges == coboundary(phi).is_zero(), kind
+                seen.add(flat_by_edges)
+        flat = cohomology(L, 0).representatives
+        if flat:
+            # a flat section of L fails on a copy of L broken at one edge
+            # exactly there
+            for edge in L.base.edges:
+                broken = L.with_edge(edge, L.matrix(*edge).scale(2))
+                phi = TwistedCochain(broken, 0, flat[0].values)
+                assert not is_flat_section(phi)
+                assert not coboundary(phi).is_zero()
+    assert seen == {True, False}
+    with pytest.raises(DegreeError):
+        is_flat_section(zero_cochain(L, 1))

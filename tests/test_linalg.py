@@ -219,3 +219,34 @@ def test_formal_log_rejects_a_large_cofactor():
     with pytest.raises(InputError) as err:
         FormalLog.of(Fraction(3, 2**89 - 1))
     assert err.value.details["bits"] == 89
+
+
+def test_coprime_base_refines_products_into_coprime_parts():
+    """Every value is a product of powers of the base, the base is pairwise
+    coprime, and products of large primes split into the primes whenever
+    each also occurs apart from the others."""
+    from math import gcd
+
+    from algebroids.linalg import _coprime_base
+
+    rng = random.Random(1993)
+    primes = [2, 3, 5, 997, 65537, 2147483647, 2305843009213693951, 18446744073709551557]
+    for _ in range(30):
+        values = []
+        for _ in range(rng.randint(1, 5)):
+            n = 1
+            for p in rng.sample(primes, rng.randint(0, 3)):
+                n *= p ** rng.randint(1, 3)
+            values.append(n)
+        base = _coprime_base(values)
+        assert all(b > 1 for b in base)
+        assert all(gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1 :])
+        for n in values:
+            for b in base:
+                while n % b == 0:
+                    n //= b
+            assert n == 1
+    big_a, big_b = primes[-2], primes[-1]
+    assert sorted(_coprime_base([big_a * big_b, big_a])) == [big_a, big_b]
+    assert _coprime_base([big_a * big_b]) == [big_a * big_b]
+    assert _coprime_base([1, 1]) == []

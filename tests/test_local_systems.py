@@ -357,3 +357,64 @@ def test_equal_transports_are_one_object(rank):
     D = dual(L)
     for S in (D, sym_power(D, 2), tensor_system(L, D), dual(tensor_power(L, 2))):
         assert objects(S) <= objects(L)
+
+
+def _plain_law_violations(L) -> list:
+    """The triangle law evaluated by a product on every triangle."""
+    return [
+        (i, j, k)
+        for i, j, k in L.base.triangles
+        if not L.matrix(i, j) * L.matrix(j, k) == L.matrix(i, k)
+    ]
+
+
+@pytest.mark.parametrize("model", ["torus", "torus4x4"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_identity_aware_flatness_law_matches_the_product_law(model, rank):
+    """Skipping the product when T(i, j) or T(j, k) is the identity lists the
+    same triangles as multiplying on every triangle, on tree-gauge systems
+    broken at random tree and non-tree edges.  (A circle has no triangles,
+    so it has no law to break.)"""
+    from conftest import rand_invertible_matrix
+
+    c = {"torus": torus_grid(3, 3), "torus4x4": torus_grid(4, 4)}[model]
+    rng = random.Random(f"identity-law:{model}:{rank}")
+    tree = spanning_tree(c)
+    identity_factor_violated = False
+    for trial in range(6):
+        a, b = commuting_pair(rng, rank)
+        L = from_representation(c, dict(zip(sorted(c.named_loops), (a, b))))
+        assert check_flat(L) == _plain_law_violations(L) == []
+        for edge in rng.sample(c.edges, 1 + trial % 3):
+            L = L.with_edge(edge, rand_invertible_matrix(rng, rank))
+        expected = _plain_law_violations(L)
+        assert check_flat(L) == expected
+        for i, j, k in expected:
+            front, back = L.matrix(i, j), L.matrix(j, k)
+            if ((i, j) in tree.tree_edges and front.is_identity()) or (
+                (j, k) in tree.tree_edges and back.is_identity()
+            ):
+                identity_factor_violated = True
+    assert identity_factor_violated
+
+
+def test_flatness_is_checked_once_per_system(monkeypatch):
+    """The violations are kept on the system: a second check multiplies
+    nothing, and each caller gets its own list."""
+    c = torus_grid(4, 4)
+    L = from_representation(c, {"a": Matrix([[1, 1], [0, 1]]), "b": Matrix([[1, 2], [0, 1]])})
+    L = L.with_edge((0, 1), Matrix([[2, 0], [0, 1]]))
+    products = []
+    mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    first = check_flat(L)
+    assert first and products
+    products.clear()
+    first.append("mutated")
+    assert check_flat(L) == first[:-1]
+    assert products == []
