@@ -1,12 +1,12 @@
 """Characteristic classes of rank-1 flat systems read off the holonomy.
 
-Transport along the spanning tree puts a rank-1 system in tree gauge: tree
-edges carry 1, and each non-tree edge carries the holonomy h of the loop it
-closes.  A nonzero rational h factors as sign times a product of prime
-powers.  The sign bits (h < 0) give a 1-cocycle with bit coefficients; the
-exponent of each prime gives a rational 1-cocycle.  Both vanish on the tree,
-so two systems get equal class data exactly when their holonomy
-representations agree.
+``holonomy`` puts a rank-1 system in tree gauge in one pass down the
+spanning tree: tree edges carry 1, and each non-tree edge carries the
+holonomy h of the loop it closes.  A nonzero rational h factors as sign
+times a product of prime powers.  The sign bits (h < 0) give a 1-cocycle
+with bit coefficients; the exponent of each prime gives a rational
+1-cocycle.  Both vanish on the tree, so two systems get equal class data
+exactly when their holonomy representations agree.
 
 The span of the log classes, together with its cup powers, is the part of
 the cohomology of the classifying space that the system can see.  On the
@@ -28,7 +28,7 @@ from .cohomology import (
     fundamental_cycle,
     untwisted_space,
 )
-from .complexes import Complex, loop_pairing, non_tree_edges, spanning_tree, torus_model
+from .complexes import Complex, loop_pairing, loop_sums, non_tree_edges, torus_model
 from .errors import (
     InputError,
     NotClosedError,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .jsonio import format_rational
 from .linalg import FormalLog, GF2, Matrix, _RowSpace, _coprime_base, solve
-from .local_systems import LocalSystem, check_flat, trivial_system
+from .local_systems import LocalSystem, check_flat, holonomy, trivial_system
 
 
 class EdgeClass:
@@ -88,8 +88,9 @@ class EdgeClass:
 def canonical_edge_class(c: Complex, assignment: Mapping) -> EdgeClass:
     """Canonicalize a rational 1-cocycle given as edge -> coefficient:
     subtract the coboundary of the tree potential so every tree edge
-    vanishes.  The input must be closed; violations are reported, not
-    repaired."""
+    vanishes, which leaves on each non-tree edge the sum around the loop it
+    closes (``loop_sums``).  The input must be closed; violations are
+    reported, not repaired."""
     zero = Fraction(0)
     values = {tuple(e): assignment.get(e, zero) for e in c.edges}
     bad = []
@@ -98,22 +99,7 @@ def canonical_edge_class(c: Complex, assignment: Mapping) -> EdgeClass:
             bad.append((i, j, k))
     if bad:
         raise NotClosedError("edge assignment is not a cocycle", triangles=bad)
-    tree = spanning_tree(c)
-    potential = {tree.root: zero}
-    for v in tree.order:
-        if v == tree.root:
-            continue
-        u = tree.parent[v]
-        p = potential[u]
-        potential[v] = p + values[(u, v)] if u < v else p - values[(v, u)]
-    reduced = {}
-    for i, j in non_tree_edges(c):
-        reduced[(i, j)] = values[(i, j)] - (potential[j] - potential[i])
-    return EdgeClass(c, reduced)
-
-
-def _scalar(L: LocalSystem, edge) -> Fraction:
-    return L.transport[edge].entries[0][0]
+    return EdgeClass(c, loop_sums(c, values))
 
 
 def _require_rank1_flat(L: LocalSystem) -> None:
@@ -124,26 +110,13 @@ def _require_rank1_flat(L: LocalSystem) -> None:
         raise NotFlatError("system is not flat", triangles=violations)
 
 
-def _tree_gauge(L: LocalSystem) -> dict:
-    """The holonomy of the loop each non-tree edge (i, j) closes, from one
-    pass down the spanning tree: frame[v] carries the fiber at v back to the
-    root along the tree, and the loop's holonomy is
-    frame[i] * T(i, j) / frame[j]."""
-    tree = spanning_tree(L.base)
-    frame = {tree.root: Fraction(1)}
-    for v in tree.order[1:]:
-        u = tree.parent[v]
-        frame[v] = frame[u] * _scalar(L, (u, v)) if u < v else frame[u] / _scalar(L, (v, u))
-    return {
-        (i, j): frame[i] * _scalar(L, (i, j)) / frame[j] for i, j in non_tree_edges(L.base)
-    }
-
-
 def sign_class(L: LocalSystem) -> EdgeClass:
     """The orientation class: bit 1 on the non-tree edges whose loop has
     negative holonomy.  Zero exactly when every loop holonomy is positive."""
     _require_rank1_flat(L)
-    bits = {e: GF2(1) for e, h in _tree_gauge(L).items() if h < 0}
+    bits = {
+        e: GF2(1) for e, h in holonomy(L).generator_images.items() if h.entries[0][0] < 0
+    }
     return EdgeClass(L.base, bits, GF2(0))
 
 
@@ -159,15 +132,15 @@ def log_classes(L: LocalSystem) -> dict:
     factored, each within ``MAX_FACTOR_BITS``.  So a loop whose holonomy is
     a product of large generators is accepted when each generator is."""
     _require_rank1_flat(L)
-    holonomy = _tree_gauge(L)
-    values = set(holonomy.values())
+    loops = {e: h.entries[0][0] for e, h in holonomy(L).generator_images.items()}
+    values = set(loops.values())
     base = _coprime_base(
         sorted({abs(h.numerator) for h in values} | {h.denominator for h in values})
     )
     logs = {b: FormalLog.of(b) for b in base}
     exponents = {}
     by_prime = {}
-    for e, h in holonomy.items():
+    for e, h in loops.items():
         coeffs = exponents.get(h)
         if coeffs is None:
             coeffs = exponents[h] = {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import Complex, SimplicialMap, loop_pairing, non_tree_edges, spanning_tree
+from .complexes import Complex, SimplicialMap, loop_pairing
 from .errors import (
     BaseMismatchError,
     DegreeError,
@@ -41,6 +41,7 @@ from .linalg import Matrix, _RowSpace, _subtract, kernel_basis, rref, solve
 from .local_systems import (
     LocalSystem,
     _once_per_object,
+    _tree_gauge,
     check_flat,
     dual,
     pullback_system,
@@ -264,38 +265,29 @@ def _flat_sections(L: LocalSystem) -> list:
     """The basis of H^0 = ker d_0 that ``kernel_basis`` gives, read off the
     fiber at vertex 0.
 
-    A flat section is fixed by its value x at vertex 0.  Transport along the
-    spanning tree gives it the value G_v x at each vertex v, and each
-    non-tree edge (i, j) asks that T(i, j) G_j x = G_i x.  So H^0 is the
-    joint fixed space of those R x R constraints, extended along the tree,
-    and no (E R) x (V R) matrix is built.  The free-column kernel basis is
-    the reduced echelon basis of the null space with rightmost pivots, so
-    that form of the extended vectors is the same basis, entry for entry."""
+    A flat section is fixed by its value x at the root: with the frames of
+    ``local_systems._tree_gauge`` it is down[v] x at each vertex v, and a
+    non-tree edge (i, j) asks T(i, j) down[j] x = down[i] x, that is h x = x
+    for the holonomy h = down[i]^-1 T(i, j) down[j] of its loop.  So H^0 is
+    the joint fixed space of the distinct holonomies (the null space of the
+    stacked R x R blocks h - I), extended by the frames, and no (E R) x (V R)
+    matrix is built.  The free-column kernel basis is the reduced echelon
+    basis of the null space with rightmost pivots, so that form of the
+    extended vectors is the same basis, entry for entry."""
     base, r = L.base, L.rank
-    tree = spanning_tree(base)
-    is_identity = _once_per_object(Matrix.is_identity)
-    frame = {tree.root: Matrix.identity(r)}
-    for v in tree.order[1:]:
-        u = tree.parent[v]
-        step = L.step(v, u)
-        frame[v] = frame[u] if is_identity(step) else step * frame[u]
-    # G_j is often the identity and T(i, j) often shared, so distinct
-    # constraints are few
-    constraint = _once_per_object(
-        lambda t, g_i, g_j: (t if is_identity(g_j) else t * g_j) - g_i
-    )
-    distinct = {}
-    for i, j in non_tree_edges(base):
-        c = constraint(L.matrix(i, j), frame[i], frame[j])
-        distinct[id(c)] = c
-    rows = [row for c in distinct.values() for row in c.entries]
-    fixed = kernel_basis(Matrix(rows, cols=r))
+    down, loops = _tree_gauge(L)
+    ident = Matrix.identity(r)
+    # loops in tree gauge share a few transport objects: one block per object
+    distinct = {id(h): h for h in loops.values()}.values()
+    blocks = [h - ident for h in distinct if not h.is_identity()]
+    fixed = kernel_basis(Matrix([row for b in blocks for row in b.entries], cols=r))
+    # the frames live in ``down`` for the whole call, as the memo needs
+    act = _transport_action()
     reversed_sections = []
     for x in fixed:
         values = []
         for v in range(base.vertex_count):
-            g = frame[v]
-            values.extend(x if is_identity(g) else g.apply(x))
+            values.extend(act(down[v], x))
         reversed_sections.append(values[::-1])
     rank, red, _ = rref(Matrix(reversed_sections, cols=base.vertex_count * r))
     return [red.entries[i][::-1] for i in reversed(range(rank))]
@@ -523,11 +515,15 @@ def cup(alpha: TwistedCochain, beta: TwistedCochain) -> TwistedCochain:
     p, q = alpha.degree, beta.degree
     base = alpha.system.base
     system = tensor_system(alpha.system, beta.system)
+    transport = beta.system.matrix
+    act = _transport_action()
     out = {}
     for sigma in base.simplices_of_dim(p + q):
-        front = sigma[: p + 1]
-        a = alpha.value(front)
-        b = beta.system.transport_along(front).apply(beta.value(sigma[p:]))
+        a = alpha.values[sigma[: p + 1]]
+        # carry beta's value back along the front face, one edge at a time
+        b = beta.values[sigma[p:]]
+        for k in range(p, 0, -1):
+            b = act(transport(sigma[k - 1], sigma[k]), b)
         out[sigma] = tuple(x * y for x in a for y in b)
     return TwistedCochain._trusted(system, p + q, out)
 

@@ -10,6 +10,10 @@ Built-in models carry named loops (closed edge paths) together with winding
 cocycles: rational 1-cocycles dual to those loops.  The winding data is what
 turns a homotopy class of a loop into an exponent vector, which the
 representation constructors use to fill in transports consistently.
+
+``loop_sums`` sums an edge cochain around the loop each non-tree edge closes
+in one pass down the spanning tree; ``loop_pairing`` sums one along any
+vertex path.  Only this module and ``local_systems`` walk the tree.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DisconnectedComplexError,
@@ -256,22 +260,14 @@ def loop_pairing(cocycle: dict, path: Sequence[int], zero=Fraction(0)):
 
 
 class SpanningTree:
-    """Breadth-first spanning tree rooted at vertex 0."""
+    """Breadth-first spanning tree rooted at vertex 0: ``parent[v]`` is the
+    vertex v was reached from, and ``order`` lists parents first."""
 
     def __init__(self, root, parent, order, tree_edges):
         self.root = root
         self.parent = parent
         self.order = order
         self.tree_edges = tree_edges
-
-    def path_from_root(self, v: int) -> tuple:
-        path = []
-        while True:
-            path.append(v)
-            if v == self.root:
-                break
-            v = self.parent[v]
-        return tuple(reversed(path))
 
 
 def spanning_tree(c: Complex) -> SpanningTree:
@@ -306,6 +302,20 @@ def spanning_tree(c: Complex) -> SpanningTree:
 def non_tree_edges(c: Complex) -> tuple:
     tree = spanning_tree(c)
     return tuple(e for e in c.edges if e not in tree.tree_edges)
+
+
+def loop_sums(c: Complex, cochain: Mapping) -> dict:
+    """Per non-tree edge (i, j), in edge order, the sum of an edge cochain w
+    (missing edges are zero) around the based loop (i, j) closes: pot[i] +
+    w(i, j) - pot[j], where pot[v] sums w along the tree from the root."""
+    tree = spanning_tree(c)
+    zero = Fraction(0)
+    pot = {tree.root: zero}
+    for v in tree.order[1:]:
+        u = tree.parent[v]
+        w = cochain.get((u, v), zero) if u < v else -cochain.get((v, u), zero)
+        pot[v] = pot[u] + w
+    return {(i, j): pot[i] + cochain.get((i, j), zero) - pot[j] for i, j in non_tree_edges(c)}
 
 
 class SimplicialMap:

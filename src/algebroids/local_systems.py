@@ -13,7 +13,10 @@ v back to the fiber at u, so transport along a path multiplies step matrices
 left to right and a closed loop based at vertex 0 gets a well-defined
 holonomy in GL of the fiber there.  The breadth-first spanning tree fixes the
 gauge: tree edges carry the identity, and each non-tree edge carries the
-holonomy of the loop it closes.
+holonomy of the loop it closes.  ``_tree_gauge`` reads the frames and every
+loop holonomy off one pass down the tree, for ``holonomy`` and H^0, and
+``from_representation`` reads the windings of those loops off
+``complexes.loop_sums``.
 
 Derived systems remember where they came from, one way only: a system keeps
 its dual once computed, and a tensor product keeps its two factors.  So the
@@ -36,7 +39,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import Complex, SimplicialMap, loop_pairing, non_tree_edges, spanning_tree
+from .complexes import Complex, SimplicialMap, loop_sums, non_tree_edges, spanning_tree
 from .errors import (
     BaseMismatchError,
     InputError,
@@ -64,22 +67,36 @@ def _as_matrix(value, rank=None) -> Matrix:
 
 
 def _once_per_object(fn):
-    """fn memoised by the identity of its matrix arguments.
-
-    The keys are ids, so a memo must not outlive its arguments: each one
-    lives for a single call, or as long as the system holding the matrices
-    it is keyed on."""
+    """fn memoised by the identity of its matrix arguments.  The memo holds
+    each entry's arguments, so no id it is keyed on is reused while it lives,
+    and a temporary product may be a key."""
     memo = {}
 
     def call(*matrices):
         key = tuple(map(id, matrices))
         try:
-            return memo[key]
+            return memo[key][1]
         except KeyError:
-            out = memo[key] = fn(*matrices)
+            out = fn(*matrices)
+            memo[key] = (matrices, out)
             return out
 
     return call
+
+
+def _product():
+    """``times(a, b) == a * b``, where a factor that is the identity (decided
+    once per object) costs no product."""
+    is_identity = _once_per_object(Matrix.is_identity)
+
+    def times(a, b):
+        if is_identity(a):
+            return b
+        if is_identity(b):
+            return a
+        return a * b
+
+    return times
 
 
 def _require_invertible(m: Matrix, label) -> None:
@@ -128,13 +145,6 @@ class LocalSystem:
             return self.transport[(u, w)]
         return self._inverse(self.transport[(w, u)])
 
-    def transport_along(self, path: Sequence[int]) -> Matrix:
-        """Composite transport carrying the fiber at path[-1] to path[0]."""
-        out = Matrix.identity(self.rank)
-        for u, w in zip(path, path[1:]):
-            out = out * self.step(u, w)
-        return out
-
     def with_edge(self, edge, value) -> "LocalSystem":
         """Copy of the system with one edge transport replaced."""
         edge = tuple(edge)
@@ -173,16 +183,8 @@ def check_flat(L: LocalSystem) -> list:
     I * b == c is exactly b == c.  The list is computed once per system and
     kept on it."""
     if L._violations is None:
-        is_identity = _once_per_object(Matrix.is_identity)
-
-        def law(a, b, c):
-            if is_identity(a):
-                return b == c
-            if is_identity(b):
-                return a == c
-            return a * b == c
-
-        composes = _once_per_object(law)
+        times = _product()
+        composes = _once_per_object(lambda a, b, c: times(a, b) == c)
         L._violations = tuple(
             (i, j, k)
             for i, j, k in L.base.triangles
@@ -193,32 +195,6 @@ def check_flat(L: LocalSystem) -> list:
 
 def is_flat(L: LocalSystem) -> bool:
     return not check_flat(L)
-
-
-def _edge_loop(tree, i: int, j: int) -> tuple:
-    """The based loop closed by the non-tree edge (i, j): out along the tree
-    to i, across the edge, back along the tree from j."""
-    out = tree.path_from_root(i)
-    back = tree.path_from_root(j)
-    return out + (j,) + tuple(reversed(back))[1:]
-
-
-def _edge_exponents(c: Complex, tree, edge, names) -> dict:
-    """Winding numbers of the loop closed by a non-tree edge, one per named
-    loop with winding data."""
-    loop = _edge_loop(tree, *edge)
-    out = {}
-    for name in names:
-        cocycle = c.loop_cocycles.get(name)
-        if cocycle is None:
-            raise UnknownGeneratorError(
-                f"complex has no winding data for generator {name!r}", generator=name
-            )
-        value = loop_pairing(cocycle, loop)
-        if value.denominator != 1:
-            raise InputError(f"winding of edge {edge} against {name!r} is fractional")
-        out[name] = int(value)
-    return out
 
 
 def from_representation(c: Complex, images: Mapping, rank: int | None = None) -> LocalSystem:
@@ -266,16 +242,21 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
         _require_invertible(m, key)
 
     tree = spanning_tree(c)
-    if explicit:
-        for edge in explicit:
-            if edge in tree.tree_edges:
-                raise UnknownGeneratorError(
-                    f"edge {edge} is a tree edge and is gauge-fixed to the identity",
-                    generator=str(edge),
-                )
+    for edge in explicit:
+        if edge in tree.tree_edges:
+            raise UnknownGeneratorError(
+                f"edge {edge} is a tree edge and is gauge-fixed to the identity",
+                generator=str(edge),
+            )
 
     ident = Matrix.identity(rank)
     names = sorted(named)
+    # every non-tree edge's winding around each named loop, one pass per name
+    sums = {
+        name: loop_sums(c, c.loop_cocycles[name])
+        for name in names
+        if c.loop_cocycles.get(name) is not None
+    }
     # one matrix per distinct winding vector, and per distinct power
     by_winding = {(0,) * len(names): ident}
     powers = {}
@@ -284,8 +265,17 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
         if edge in tree.tree_edges:
             transport[edge] = ident
             continue
-        exponents = _edge_exponents(c, tree, edge, names)
-        winding = tuple(exponents[name] for name in names)
+        winding = []
+        for name in names:
+            if name not in sums:
+                raise UnknownGeneratorError(
+                    f"complex has no winding data for generator {name!r}", generator=name
+                )
+            value = sums[name][edge]
+            if value.denominator != 1:
+                raise InputError(f"winding of edge {edge} against {name!r} is fractional")
+            winding.append(int(value))
+        winding = tuple(winding)
         m = by_winding.get(winding)
         if m is None:
             m = ident
@@ -323,23 +313,42 @@ class Holonomy:
         return f"Holonomy({len(self.generator_images)} generators, rank={self.rank})"
 
 
+def _tree_gauge(L: LocalSystem) -> tuple:
+    """One pass down the spanning tree: ``(down, loops)``.  ``down[v]``
+    carries the fiber at the root to the fiber at v along the tree, and
+    ``loops[(i, j)]`` is the holonomy down[i]^-1 T(i, j) down[j] of the
+    based loop the non-tree edge (i, j) closes.  A product with an identity
+    factor is skipped, so a system in tree gauge costs no product at all."""
+    tree = spanning_tree(L.base)
+    times = _product()
+    ident = Matrix.identity(L.rank)
+    down = {tree.root: ident}
+    up = {tree.root: ident}  # up[v] = down[v]^-1
+    for v in tree.order[1:]:
+        u = tree.parent[v]
+        down[v] = times(L.step(v, u), down[u])
+        up[v] = times(up[u], L.step(u, v))
+    edges = non_tree_edges(L.base)
+    return down, {(i, j): times(times(up[i], L.matrix(i, j)), down[j]) for i, j in edges}
+
+
 def holonomy(L: LocalSystem) -> Holonomy:
     violations = check_flat(L)
     if violations:
         raise NotFlatError("system is not flat", triangles=violations)
-    tree = spanning_tree(L.base)
-    images = {}
-    for edge in non_tree_edges(L.base):
-        images[edge] = L.transport_along(_edge_loop(tree, *edge))
-    return Holonomy(L.base, L.rank, tree, images)
+    return Holonomy(L.base, L.rank, spanning_tree(L.base), _tree_gauge(L)[1])
 
 
 def holonomy_around(L: LocalSystem, path: Sequence[int]) -> Matrix:
-    """Transport around an arbitrary closed vertex path."""
+    """Transport around an arbitrary closed vertex path: the product of its
+    step matrices, left to right."""
     path = tuple(path)
     if len(path) < 2 or path[0] != path[-1]:
         raise InputError("holonomy needs a closed path")
-    return L.transport_along(path)
+    out = Matrix.identity(L.rank)
+    for u, w in zip(path, path[1:]):
+        out = out * L.step(u, w)
+    return out
 
 
 def gauge_transform(L: LocalSystem, frames) -> LocalSystem:
@@ -457,6 +466,4 @@ def iso_rank1(L1: LocalSystem, L2: LocalSystem) -> bool:
         raise UnsupportedRankError("isomorphism testing is limited to rank 1")
     if L1.base != L2.base:
         raise BaseMismatchError("systems live over different bases")
-    h1 = holonomy(L1).generator_images
-    h2 = holonomy(L2).generator_images
-    return h1 == h2
+    return holonomy(L1).generator_images == holonomy(L2).generator_images

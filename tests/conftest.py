@@ -128,6 +128,20 @@ def random_cochain(rng, L, degree):
     return TwistedCochain(L, degree, values)
 
 
+def tree_loop(tree, i, j):
+    """The based loop a non-tree edge (i, j) closes, written out vertex by
+    vertex from ``tree.parent``: root to i along the tree, across the edge,
+    j back to the root."""
+    def to_root(v):
+        path = [v]
+        while v != tree.root:
+            v = tree.parent[v]
+            path.append(v)
+        return path
+
+    return tuple(reversed(to_root(i))) + tuple(to_root(j))
+
+
 def torus_shift_map(t, dr, dc):
     return simplicial_map(
         t, t, [3 * ((v // 3 + dr) % 3) + (v % 3 + dc) % 3 for v in range(9)]

@@ -5,6 +5,11 @@ of its stderr.  The hashes were recorded with the dense elimination kernel
 that the sparse one replaced, so a row that fails means the kernel, the
 rank-based dimensions or a serializer changed an answer or a message byte.
 ``{rep2}`` stands for a rank-2 representation file written by the test.
+The ``pullback`` rows print loop holonomies of a pulled-back system: they
+read map files written by the test, ``{cover}`` (the 3x6 torus wrapping
+twice around the 3x3 one) and ``{negate}`` ((row, col) -> (-col, -row) on
+the 3x3 torus, which reverses edge orientations).  Their hashes were
+recorded before ``holonomy`` moved onto the spanning-tree gauge pass.
 
 The rank-2 and rank-3 ``chern-weil`` rows read checked-in inputs from
 ``tests/fixtures/chern_weil`` (``{fx}``): unipotent and diagonal
@@ -25,6 +30,19 @@ from algebroids.cli import main
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "chern_weil"
+
+MAPS = {
+    "cover": {
+        "source": "builtin:torus3x6",
+        "target": "builtin:torus3x3",
+        "vertex_map": [3 * (v // 6) + (v % 6) % 3 for v in range(18)],
+    },
+    "negate": {
+        "source": "builtin:torus3x3",
+        "target": "builtin:torus3x3",
+        "vertex_map": [3 * (-(v % 3) % 3) + (-(v // 3)) % 3 for v in range(9)],
+    },
+}
 
 RANK2_REP = {
     "schema_version": "1",
@@ -126,6 +144,18 @@ GOLDEN = [
     (('surjectivity', '--complex', 'builtin:circle5', '--rep', 'a=2', '--json'),
      1, EMPTY,
      'eeeab218410282c50472d25c7a4fb90218288ccef2b74cae7ed23ebbc4a0d375'),
+    (('pullback', '--map', '{cover}', '--rep', 'a=2,b=3'),
+     0, 'eb0bfcc5564626cd399245b0d73e993a2275534cad2d2410315259ea2502060d',
+     EMPTY),
+    (('pullback', '--map', '{negate}', '--rep', 'a=-3/5,b=10/7', '--json'),
+     0, 'ec08c88a7822a096b930d3412ed1c649822ead2776d277dd4751f355f0de03e8',
+     EMPTY),
+    (('pullback', '--map', '{cover}', '--rep-file', '{rep2}', '--json'),
+     0, '34e66acf10d45c85d99e121d76604935e481b4a6a2cb0f37930a9ff275c7a160',
+     EMPTY),
+    (('pullback', '--map', '{negate}', '--rep-file', '{rep2}', '--json'),
+     0, '116466e53a8be61149451d09f84394f7b2af8d6c4d348b83f62a8c0db8d4f1e9',
+     EMPTY),
     (('chern-weil', '--complex', 'builtin:torus', '--rep', 'a=2,b=1', '--omega', 'fundamental'),
      0, 'd65397380e6e48f61e62f312cfadbdbfc7b8c77b0860eb9eb9354f9de984bde2',
      EMPTY),
@@ -250,7 +280,13 @@ def test_cli_output_is_unchanged(argv, code, out_sha, err_sha, capsys, tmp_path,
     monkeypatch.delenv("ALGEBROIDS_VERBOSE", raising=False)
     rep2 = tmp_path / "rep2.json"
     rep2.write_text(json.dumps(RANK2_REP), encoding="utf-8")
-    argv = [a.replace("{rep2}", str(rep2)).replace("{fx}", str(FIXTURES)) for a in argv]
+    paths = {"{rep2}": str(rep2), "{fx}": str(FIXTURES)}
+    for name, doc in MAPS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths["{%s}" % name] = str(path)
+    for key, value in paths.items():
+        argv = [a.replace(key, value) for a in argv]
     assert main(argv) == code
     captured = capsys.readouterr()
     assert (_sha(captured.out), _sha(captured.err)) == (out_sha, err_sha)

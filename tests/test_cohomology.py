@@ -347,6 +347,29 @@ def test_cup_power_reduces_to_iterated_cup(torus):
     assert p2.system == tensor_system(L, L)
 
 
+@pytest.mark.parametrize("front", [0, 1, 2])
+def test_cup_equals_the_product_along_the_front_face(front):
+    """``cup`` carries beta's value back one edge at a time; the reference
+    multiplies the step matrices along the front face first.  Both systems
+    are gauged rank-2 ones, so every transport is a real matrix."""
+    c = torus_grid(3, 3)
+    rng = random.Random(70 + front)
+    L1 = random_flat_system(rng, c, rank=2)
+    L2 = random_flat_system(rng, c, rank=2)
+    for back in range(c.dimension - front + 1):
+        alpha = random_cochain(rng, L1, front)
+        beta = random_cochain(rng, L2, back)
+        product = cup(alpha, beta)
+        for sigma in c.simplices_of_dim(front + back):
+            path = sigma[: front + 1]
+            carry = Matrix.identity(2)
+            for u, w in zip(path, path[1:]):
+                carry = carry * L2.step(u, w)
+            b = carry.apply(beta.value(sigma[front:]))
+            expected = tuple(x * y for x in alpha.value(path) for y in b)
+            assert product.value(sigma) == expected
+
+
 def test_fundamental_cycle_is_unique_and_normalized(torus, disk):
     mu = fundamental_cycle(torus)
     m = coboundary_matrix(trivial_system(torus), 1)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from algebroids import (
     contiguous,
     identity_map,
     loop_pairing,
+    loop_sums,
     non_tree_edges,
     simplicial_map,
     spanning_tree,
@@ -21,6 +23,8 @@ from algebroids import (
     torus_model,
     validate_complex,
 )
+
+from conftest import rand_fraction, tree_loop
 
 
 def test_validate_complex_accepts_triangle():
@@ -92,8 +96,10 @@ def test_spanning_tree_of_torus_is_frozen(torus):
         {(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (0, 8), (1, 5), (1, 7)}
     )
     assert len(non_tree_edges(torus)) == 19
-    assert tree.path_from_root(5) == (0, 1, 5)
-    assert tree.path_from_root(0) == (0,)
+    # the BFS reaches 5 through 1, and the root is its own parent
+    assert (tree.parent[5], tree.parent[1]) == (1, 0)
+    assert tree.parent[0] == 0
+    assert tree.order[0] == 0
 
 
 def test_named_loops_and_windings(torus):
@@ -113,6 +119,24 @@ def test_winding_cocycles_are_closed(torus, circle6):
             for i, j, k in c.triangles:
                 s = w.get((i, j), Fraction(0)) + w.get((j, k), Fraction(0))
                 assert s == w.get((i, k), Fraction(0))
+
+
+@pytest.mark.parametrize("model", [torus_model, lambda: torus_grid(4, 4), lambda: circle_model(5)],
+                         ids=["torus", "torus4x4", "circle5"])
+def test_loop_sums_equal_the_pairing_along_each_tree_loop(model):
+    """One potential pass gives, on every non-tree edge, the sum along the
+    loop it closes, for cochains that need not be closed, sparse or not."""
+    c = model()
+    tree = spanning_tree(c)
+    rng = random.Random(41)
+    for density in (1.0, 0.3, 0.0):
+        cochain = {e: rand_fraction(rng) for e in c.edges if rng.random() < density}
+        sums = loop_sums(c, cochain)
+        assert list(sums) == list(non_tree_edges(c))
+        for (i, j), total in sums.items():
+            loop = tree_loop(tree, i, j)
+            assert loop[0] == loop[-1] == tree.root
+            assert total == loop_pairing(cochain, loop)
 
 
 def test_loop_pairing_reversal(torus):

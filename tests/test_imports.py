@@ -1,8 +1,13 @@
-"""No module of the package imports a name it does not use.
+"""Lint checks on the syntax tree of each module of the package.
 
-There is no linter in the toolchain, so this walks the syntax tree of each
-module: every name bound by a module-level ``import`` must be read
-somewhere in that module.  ``__init__.py`` only re-exports, so it is exempt.
+There is no linter in the toolchain, so these walk the syntax trees:
+
+- no module imports a name it does not use: every name bound by a
+  module-level ``import`` must be read somewhere in that module
+  (``__init__.py`` only re-exports, so it is exempt);
+- only ``complexes.py`` and ``local_systems.py`` walk a spanning tree, that
+  is read its ``parent`` or ``order``: every other module takes loop sums,
+  holonomies and frames from the one pass each of those makes.
 """
 
 import ast
@@ -18,6 +23,10 @@ ALLOWED = {
     # through ``cli.cohomology.__globals__``
     ("cli", "cohomology"),
 }
+
+
+# the modules that may walk a spanning tree
+TREE_WALKERS = {"complexes", "local_systems"}
 
 
 def unused_imports(path: Path) -> list:
@@ -50,3 +59,33 @@ def test_the_check_finds_an_unused_import(tmp_path):
     path.write_text("import os\nimport sys as system\nfrom typing import Any, Sequence\n"
                     "def f(x: Sequence):\n    return system.argv\n")
     assert unused_imports(path) == [(1, "os"), (3, "Any")]
+
+
+def tree_walks(path: Path) -> list:
+    """(line, attribute) of every ``.parent`` or ``.order`` in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("parent", "order")
+    )
+
+
+def test_only_the_gauge_modules_walk_the_spanning_tree():
+    found = []
+    walkers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        walks = tree_walks(path)
+        if walks:
+            walkers.add(path.stem)
+        if path.stem not in TREE_WALKERS:
+            found.extend(f"{path.name}:{line}: .{attr}" for line, attr in walks)
+    assert found == []
+    assert walkers == TREE_WALKERS
+
+
+def test_the_check_finds_a_tree_walk(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def f(tree, parents):\n    for v in tree.order[1:]:\n"
+                    "        yield parents[v], tree.parent[v], tree.root\n")
+    assert tree_walks(path) == [(2, "order"), (3, "parent")]

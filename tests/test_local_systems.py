@@ -5,6 +5,7 @@ import pytest
 
 from algebroids import (
     Holonomy,
+    InputError,
     LocalSystem,
     Matrix,
     NotFlatError,
@@ -41,6 +42,7 @@ from conftest import (
     random_gauge,
     torus_cover_map,
     torus_shift_map,
+    tree_loop,
 )
 
 
@@ -95,6 +97,45 @@ def test_from_representation_rejects_bad_keys(torus):
     # tree edges are pinned to the identity and cannot be assigned
     with pytest.raises(UnknownGeneratorError):
         from_representation(torus, {"a": 2, "b": 1, (0, 1): 3})
+
+
+# two triangle boundaries joined at vertex 0: the tree is (0, v) for every
+# v, and the non-tree edges (1, 2) and (3, 4) close the loops a and b
+WEDGE_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]
+WEDGE_LOOPS = {"a": (0, 1, 2, 0), "b": (0, 3, 4, 0)}
+
+
+def test_a_named_loop_without_winding_data_is_unknown():
+    c = validate_complex(5, WEDGE_EDGES, named_loops=WEDGE_LOOPS,
+                         loop_cocycles={"a": {(1, 2): Fraction(1)}})
+    with pytest.raises(UnknownGeneratorError, match="no winding data for generator 'b'"):
+        from_representation(c, {"a": 2, "b": 3})
+
+
+def test_a_cocycle_that_is_not_closed_gives_a_fractional_winding():
+    # the cochain is 1/2 on (1, 3) alone, so it is not closed on (1, 2, 3),
+    # and the loop 0 -> 2 -> 3 -> 1 -> 0 closed by (2, 3) winds -1/2 times
+    c = validate_complex(
+        4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 2, 3)],
+        named_loops={"a": (0, 1, 2, 0)},
+        loop_cocycles={"a": {(1, 3): Fraction(1, 2)}},
+    )
+    with pytest.raises(InputError, match=r"winding of edge \(2, 3\) against 'a' is fractional"):
+        from_representation(c, {"a": 2})
+
+
+@pytest.mark.parametrize("half_edge, error, message", [
+    ((1, 2), InputError, r"winding of edge \(1, 2\) against 'a' is fractional"),
+    ((3, 4), UnknownGeneratorError, "no winding data for generator 'b'"),
+])
+def test_the_first_winding_error_is_raised_edge_by_edge(half_edge, error, message):
+    """Edges are taken in order, and the names in sorted order on each edge:
+    a fractional 'a' on the first non-tree edge wins over the missing 'b',
+    and a missing 'b' wins over a fractional 'a' on a later edge."""
+    c = validate_complex(5, WEDGE_EDGES, named_loops=WEDGE_LOOPS,
+                         loop_cocycles={"a": {half_edge: Fraction(1, 2)}})
+    with pytest.raises(error, match=message):
+        from_representation(c, {"a": 2, "b": 3})
 
 
 def test_from_representation_rejects_singular(torus):
@@ -153,6 +194,27 @@ def test_holonomy_keys_are_non_tree_edges(torus):
         e for e in torus.edges if e not in spanning_tree(torus).tree_edges
     )
     assert h.generator_images[(1, 2)] == Matrix([[2]])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("model", ["torus", "torus4x4", "circle5"])
+def test_holonomy_equals_the_product_around_each_tree_loop(model, rank):
+    """The one pass down the tree gives, on every non-tree edge, the product
+    of the step matrices around the loop it closes.  The systems are gauged,
+    so no frame is the identity and every loop needs real products.  Rank-1
+    gauges drawn from a few small scalars often make a partial product the
+    identity, which is what exposes an identity memo keyed on a product that
+    dies before the memo does."""
+    c = {"torus": torus_grid(3, 3), "torus4x4": torus_grid(4, 4),
+         "circle5": circle_model(5)}[model]
+    tree = spanning_tree(c)
+    rng = random.Random(100 * rank + len(model))
+    for _ in range(12):
+        L = random_flat_system(rng, c, rank=rank)
+        images = holonomy(L).generator_images
+        assert list(images) == [e for e in c.edges if e not in tree.tree_edges]
+        for (i, j), h in images.items():
+            assert h == holonomy_around(L, tree_loop(tree, i, j))
 
 
 def test_holonomy_around_requires_closed_path(torus):
