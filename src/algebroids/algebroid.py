@@ -6,16 +6,26 @@ splitting).  Both conditions are exactly the existence conditions for the
 extension, so construction validates them and nothing else.
 
 The Chern-Weil map pairs flat sections of symmetric powers of the dual
-adjoint against cup powers of the curvature.  Cochain-level cup powers are
-not symmetric, but the symmetrization factors make the resulting class
-independent of that: it is unchanged under change of splitting and commutes
-with pullback, which is what the tests pin down.
+adjoint against cup powers of the curvature.  omega^k takes values in the
+k-th tensor power of the adjoint, with one coordinate per word w of k
+letters, and a symmetric functional phi reads a word through the monomial
+m(w) of its sorted letters.  So the pairing is computed in the fiber, at the
+first vertex of each simplex sigma:
+
+    (1/k!) sum_w phi(sigma_0)[m(w)] * wt(w) * omega^k(sigma)[w],
+
+where wt(w) is the product of the factorials of the letter multiplicities:
+the canonical inclusion of symmetric functionals into multilinear ones.  No
+system dual to the tensor power is built.  Cochain-level cup powers are not
+symmetric, but the symmetrization makes the resulting class independent of
+that: it is unchanged under change of splitting and commutes with pullback,
+which is what the tests pin down.
 
 An algebroid builds each derived object of a Chern-Weil computation once per
 symmetric power k: the symmetric dual Sym^k(adjoint*), the cup power
 omega^k and the untwisted H^2k.  ``invariant_sections`` and ``chern_weil``
 share them, so a query over several sections and powers dualizes the
-adjoint once.
+adjoint once and no other system.
 """
 
 from __future__ import annotations
@@ -29,12 +39,12 @@ from .cohomology import (
     CohomologyClass,
     CohomologySpace,
     TwistedCochain,
+    _pair_pointwise,
     coboundary,
     cohomology,
     cup,
     cup_power,
     is_flat_section,
-    pair_flat,
     pullback_cochain,
     untwisted_space,
 )
@@ -77,9 +87,7 @@ class CommAlgebroid:
         return self._sym_duals[k]
 
     def _cup_power(self, k: int) -> TwistedCochain:
-        """omega^k, each power cupped onto the one before, so all powers
-        share one trivial line and their systems one chain of tensor
-        factors."""
+        """omega^k, each power cupped onto the one before."""
         powers = self._cup_powers
         if not powers:
             powers.append(cup_power(self.omega, 0))
@@ -164,30 +172,19 @@ def invariant_sections(A: CommAlgebroid, k: int) -> InvariantSectionSpace:
     return InvariantSectionSpace(k, system, space.representatives)
 
 
-def _sym_embedding(phi: TwistedCochain, A: CommAlgebroid, k: int) -> TwistedCochain:
-    """Rewrite a section of the symmetric dual as a section of the dual of
-    the k-th tensor power, the system that pairs with omega^k: each word
-    coordinate is the monomial coordinate of its sorted word, weighted by
-    the product of letter multiplicity factorials.  Together with the final
-    1/k! this realizes the canonical inclusion of symmetric functionals into
-    multilinear ones."""
-    r = A.adjoint.rank
+def _word_weights(r: int, k: int) -> list:
+    """Per word of k letters in range(r), in the row-major order of the
+    flattened tensor power: the index of its sorted word among the
+    monomials, and wt(w) / k!."""
     mono_index = {m: i for i, m in enumerate(_sym_monomials(r, k))}
-    # words enumerate in row-major order, so a word's position is its index
-    # in the flattened tensor power
     words = []
     for word in itertools.product(range(r), repeat=k):
         key = tuple(sorted(word))
         weight = 1
         for count in Counter(key).values():
             weight *= math.factorial(count)
-        words.append((mono_index[key], weight))
-    target = dual(A._cup_power(k).system)
-    values = {}
-    for v in range(A.base.vertex_count):
-        coords = phi.value((v,))
-        values[(v,)] = tuple(coords[m] * weight for m, weight in words)
-    return TwistedCochain._trusted(target, 0, values)
+        words.append((mono_index[key], Fraction(weight, math.factorial(k))))
+    return words
 
 
 def chern_weil(A: CommAlgebroid, phi: TwistedCochain, k: int) -> CohomologyClass:
@@ -202,10 +199,10 @@ def chern_weil(A: CommAlgebroid, phi: TwistedCochain, k: int) -> CohomologyClass
         )
     if not is_flat_section(phi):
         raise NotInvariantError("section is not invariant under the adjoint transport")
-    embedded = _sym_embedding(phi, A, k)
-    paired = pair_flat(embedded, A._cup_power(k))
-    space = A._untwisted_space(2 * k)
-    return space.class_of(paired.scale(Fraction(1, math.factorial(k))))
+    words = _word_weights(A.adjoint.rank, k)
+    weighted = {v: tuple(x[m] * w for m, w in words) for v, x in phi.values.items()}
+    paired = _pair_pointwise(weighted, A._cup_power(k))
+    return A._untwisted_space(2 * k).class_of(paired)
 
 
 def chern_weil_image(A: CommAlgebroid, max_k: int | None = None) -> dict:

@@ -32,13 +32,12 @@ from .complexes import Complex, loop_pairing, loop_sums, non_tree_edges, torus_m
 from .errors import (
     InputError,
     NotClosedError,
-    NotFlatError,
     UnsupportedBaseError,
     UnsupportedRankError,
 )
 from .jsonio import format_rational
 from .linalg import FormalLog, GF2, Matrix, _RowSpace, _coprime_base, solve
-from .local_systems import LocalSystem, check_flat, holonomy, trivial_system
+from .local_systems import LocalSystem, _require_flat, holonomy, trivial_system
 
 
 class EdgeClass:
@@ -105,9 +104,7 @@ def canonical_edge_class(c: Complex, assignment: Mapping) -> EdgeClass:
 def _require_rank1_flat(L: LocalSystem) -> None:
     if L.rank != 1:
         raise UnsupportedRankError("class extraction is limited to rank-1 systems")
-    violations = check_flat(L)
-    if violations:
-        raise NotFlatError("system is not flat", triangles=violations)
+    _require_flat(L)
 
 
 def sign_class(L: LocalSystem) -> EdgeClass:

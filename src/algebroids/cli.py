@@ -3,8 +3,8 @@
 Subcommands load a complex (builtin name, file path, or algebroid bundle),
 run one computation, and print either a short text summary or a
 deterministic JSON report.  Validation failures and schema problems exit
-with status 1 and a structured error on stderr; ALGEBROIDS_VERBOSE=1 adds
-diagnostic detail there.
+with status 1 and a one-line error on stderr; ALGEBROIDS_VERBOSE=1 prints
+that error as a JSON object instead.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .jsonio import (
     map_from_json,
     parse_rational,
     representation_from_json,
+    representation_to_json,
     resolve_complex_spec,
 )
 from .local_systems import LocalSystem, from_representation, holonomy, pullback_system
@@ -39,11 +40,6 @@ from .local_systems import LocalSystem, from_representation, holonomy, pullback_
 
 def _verbose() -> bool:
     return os.environ.get("ALGEBROIDS_VERBOSE", "") not in ("", "0")
-
-
-def _note(text: str) -> None:
-    if _verbose():
-        print(text, file=sys.stderr)
 
 
 def _parse_inline_rep(c: Complex, text: str, rank: int | None) -> LocalSystem:
@@ -102,7 +98,6 @@ def cmd_validate(args) -> int:
         data = load_json(args.algebroid)
         A = algebroid_from_json(data)
         counts = A.base.counts()
-        _note(f"tree gauge: {len(A.base.edges)} edges")
         _emit(
             args,
             {
@@ -149,8 +144,6 @@ def cmd_cohomology(args) -> int:
         degrees = [args.degree]
     all_dims = cohomology_dims(L, up_to=degrees[-1])
     dims = {n: all_dims[n] for n in degrees}
-    for n, d in dims.items():
-        _note(f"H^{n}: dimension {d}")
     _emit(
         args,
         {
@@ -236,24 +229,14 @@ def cmd_pullback(args) -> int:
     """Emit the pulled-back system, reduced to tree gauge, as a
     representation document usable with the source complex."""
     f = map_from_json(load_json(args.map))
-    L = _load_system(args, f.target)
-    pulled = pullback_system(f, L)
-    hol = holonomy(pulled)
-    entries = {
-        "edge_{}_{}".format(*e): (
-            format_rational(m.entries[0][0])
-            if pulled.rank == 1
-            else [[format_rational(x) for x in row] for row in m.entries]
-        )
-        for e, m in sorted(hol.generator_images.items())
-        if not m.is_identity()
-    }
-    data = {"schema_version": SCHEMA_VERSION, "rank": pulled.rank, "entries": entries}
-    lines = [f"holonomy {key}: {value}" for key, value in sorted(entries.items())
-             if pulled.rank == 1] or ["holonomy: trivial"]
-    if pulled.rank > 1:
-        lines = [f"holonomy {key}: matrix" for key in sorted(entries)] or ["holonomy: trivial"]
-    _emit(args, data, lines)
+    pulled = pullback_system(f, _load_system(args, f.target))
+    gauged = from_representation(f.source, holonomy(pulled), rank=pulled.rank)
+    data = representation_to_json(gauged)
+    lines = [
+        f"holonomy {key}: {value if gauged.rank == 1 else 'matrix'}"
+        for key, value in sorted(data["entries"].items())
+    ]
+    _emit(args, data, lines or ["holonomy: trivial"])
     return 0
 
 

@@ -41,8 +41,8 @@ from .linalg import Matrix, _RowSpace, _subtract, kernel_basis, rref, solve
 from .local_systems import (
     LocalSystem,
     _once_per_object,
+    _require_flat,
     _tree_gauge,
-    check_flat,
     dual,
     pullback_system,
     trivial_system,
@@ -239,6 +239,8 @@ def coboundary_matrix(L: LocalSystem, n: int) -> Matrix:
     T(tau_0, tau_1) at the front face and (-1)^i times the identity at the
     face without tau_i.  The faces are distinct, so no entry is written
     twice."""
+    if n < 0:
+        raise DegreeError("coboundary degree must be nonnegative")
     base = L.base
     r = L.rank
     src = base.simplices_of_dim(n)
@@ -257,8 +259,8 @@ def coboundary_matrix(L: LocalSystem, n: int) -> Matrix:
             j0 = col_of[tau[:i] + tau[i + 1 :]] * r
             for a in range(r):
                 block[a][j0 + a] = signs[i % 2]
-        rows.extend(block)
-    return Matrix(rows, cols=ncols)
+        rows.extend(map(tuple, block))
+    return Matrix._trusted(tuple(rows), ncols)
 
 
 def _flat_sections(L: LocalSystem) -> list:
@@ -409,18 +411,12 @@ class CohomologyClass:
 def cohomology(L: LocalSystem, n: int) -> CohomologySpace:
     if n < 0:
         raise DegreeError("cohomology degree must be nonnegative")
-    violations = check_flat(L)
-    if violations:
-        raise NotFlatError("system is not flat", triangles=violations)
+    _require_flat(L)
     if not L.base.simplices_of_dim(n):
         return CohomologySpace(L, n)
     if n == 0:
         return CohomologySpace(L, 0, _flat_sections(L))
-    d_prev = coboundary_matrix(L, n - 1)
-    image_columns = [
-        tuple(d_prev.entries[i][j] for i in range(d_prev.rows))
-        for j in range(d_prev.cols)
-    ]
+    image_columns = coboundary_matrix(L, n - 1).transpose().entries
     return CohomologySpace(L, n, kernel_basis(coboundary_matrix(L, n)), image_columns)
 
 
@@ -434,9 +430,7 @@ def cohomology_dims(L: LocalSystem, up_to: int | None = None) -> tuple:
     so flatness is checked first and a violation raises NotFlatError.  Each
     d_n is built and ranked once; no representatives are chosen."""
     top = L.base.dimension if up_to is None else up_to
-    violations = check_flat(L)
-    if violations:
-        raise NotFlatError("system is not flat", triangles=violations)
+    _require_flat(L)
     dims = []
     rank_prev = 0
     for n in range(top + 1):
@@ -542,6 +536,19 @@ def cup_power(omega: TwistedCochain, k: int) -> TwistedCochain:
     return out
 
 
+def _pair_pointwise(values: Mapping, omega: TwistedCochain) -> TwistedCochain:
+    """The untwisted cochain whose value on each simplex is the pairing of
+    ``values`` at its first vertex (a vector per vertex, in the dual fiber)
+    with omega's value there."""
+    base = omega.system.base
+    out = {}
+    for sigma in base.simplices_of_dim(omega.degree):
+        fv = values[sigma[:1]]
+        ov = omega.values[sigma]
+        out[sigma] = (sum(x * y for x, y in zip(fv, ov)),)
+    return TwistedCochain._trusted(trivial_system(base, 1), omega.degree, out)
+
+
 def pair_flat(phi: TwistedCochain, omega: TwistedCochain) -> TwistedCochain:
     """Pair a flat 0-cochain of the dual system against a twisted cochain,
     producing an untwisted rational cochain.  Flatness of phi makes the
@@ -555,28 +562,13 @@ def pair_flat(phi: TwistedCochain, omega: TwistedCochain) -> TwistedCochain:
         raise InputError("pairing section must live in the dual system")
     if not is_flat_section(phi):
         raise NotFlatError("pairing section is not flat")
-    base = omega.system.base
-    out = {}
-    for sigma in base.simplices_of_dim(omega.degree):
-        fv = phi.values[sigma[:1]]
-        ov = omega.values[sigma]
-        out[sigma] = (sum(x * y for x, y in zip(fv, ov)),)
-    return TwistedCochain._trusted(trivial_system(base, 1), omega.degree, out)
+    return _pair_pointwise(phi.values, omega)
 
 
 def boundary_matrix(c: Complex, n: int) -> Matrix:
-    """Simplicial boundary of n-chains in the sorted-simplex bases."""
-    src = c.simplices_of_dim(n)
-    dst = c.simplices_of_dim(n - 1)
-    row_of = {s: i for i, s in enumerate(dst)}
-    rows = [[Fraction(0)] * len(src) for _ in range(len(dst))]
-    for j, sigma in enumerate(src):
-        sign = 1
-        for i in range(n + 1):
-            face = sigma[:i] + sigma[i + 1 :]
-            rows[row_of[face]][j] += sign
-            sign = -sign
-    return Matrix(rows, cols=len(src))
+    """Simplicial boundary of n-chains in the sorted-simplex bases: the
+    transpose of the untwisted coboundary d_{n-1}."""
+    return coboundary_matrix(trivial_system(c, 1), n - 1).transpose()
 
 
 def fundamental_cycle(c: Complex) -> dict:

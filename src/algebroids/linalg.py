@@ -11,8 +11,9 @@ instead of to whole products.
 
 The public constructors coerce and shape-check every entry.  Results of
 the package's own arithmetic (products, sums, Kronecker products, scaling,
-identities) are built by ``Matrix._trusted``, which takes entries that are
-already tuples of Fractions as they are.
+identities, transposes, inverses and reduced echelon forms) are built by
+``Matrix._trusted``, which takes entries that are already tuples of
+Fractions as they are.
 
 Matrices are stored dense, but all row reduction goes through one sparse
 kernel, ``_RowSpace``: rows are ``{column: nonzero}`` dicts kept in fully
@@ -340,7 +341,10 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries)) if self.rows else [], cols=self.rows)
+        # with no rows, zip sees no columns: the transpose has cols empty rows
+        return Matrix._trusted(
+            tuple(zip(*self.entries)) if self.rows else ((),) * self.cols, self.rows
+        )
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
@@ -352,13 +356,13 @@ class Matrix:
         if self.rows != self.cols:
             raise SingularMatrixError("only square matrices can be inverted")
         n = self.rows
-        ident = Matrix.identity(n)
-        aug = Matrix([list(r) + list(i) for r, i in zip(self.entries, ident.entries)])
+        ident = Matrix.identity(n).entries
+        aug = Matrix._trusted(tuple(r + i for r, i in zip(self.entries, ident)), 2 * n)
         rank, red, pivots = rref(aug)
         # pivots escape into the identity block exactly when self is singular
         if rank < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
-        return Matrix([row[n:] for row in red.entries], cols=n)
+        return Matrix._trusted(tuple(row[n:] for row in red.entries), n)
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -489,7 +493,7 @@ def rref(m: Matrix):
     for dense, p in zip(rows, pivots):
         for j, x in space.rows[p].items():
             dense[j] = x
-    return len(pivots), Matrix(rows, cols=m.cols), pivots
+    return len(pivots), Matrix._trusted(tuple(map(tuple, rows)), m.cols), pivots
 
 
 def kernel_basis(m: Matrix) -> list:

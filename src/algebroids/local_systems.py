@@ -18,10 +18,7 @@ loop holonomy off one pass down the tree, for ``holonomy`` and H^0, and
 ``from_representation`` reads the windings of those loops off
 ``complexes.loop_sums``.
 
-Derived systems remember where they came from, one way only: a system keeps
-its dual once computed, and a tensor product keeps its two factors.  So the
-dual of a tensor power is the tensor power of the dual, and no transport
-larger than a factor's is ever inverted.  Nothing points back from a derived
+A system keeps its dual once computed.  Nothing points back from a derived
 system to its source, so no reference cycle forms.
 
 Equal transports are usually one shared object: the tree edges carry one
@@ -119,18 +116,7 @@ class LocalSystem:
         # tree edges and trivial lines carry the identity, its own inverse
         self._inverse = _once_per_object(lambda m: m if m.is_identity() else m.inverse())
         self._dual = None
-        self._factors = None
         self._violations = None
-
-    @classmethod
-    def build(cls, base: Complex, rank: int, transport: Mapping) -> "LocalSystem":
-        """Coerce, size-check and invertibility-check raw transport data."""
-        fixed = {}
-        for e, value in transport.items():
-            m = _as_matrix(value, rank)
-            _require_invertible(m, e)
-            fixed[tuple(e)] = m
-        return cls(base, rank, fixed)
 
     def matrix(self, i: int, j: int) -> Matrix:
         """Transport along the increasing edge (i, j), fiber j to fiber i."""
@@ -195,6 +181,13 @@ def check_flat(L: LocalSystem) -> list:
 
 def is_flat(L: LocalSystem) -> bool:
     return not check_flat(L)
+
+
+def _require_flat(L: LocalSystem) -> None:
+    """Raise NotFlatError listing every violated triangle, if there is one."""
+    violations = check_flat(L)
+    if violations:
+        raise NotFlatError("system is not flat", triangles=violations)
 
 
 def from_representation(c: Complex, images: Mapping, rank: int | None = None) -> LocalSystem:
@@ -303,10 +296,9 @@ class Holonomy:
     """Holonomy of a flat system: one matrix per non-tree edge, each the
     transport around the based loop that edge closes."""
 
-    def __init__(self, base, rank, tree, generator_images):
+    def __init__(self, base, rank, generator_images):
         self.base = base
         self.rank = rank
-        self.tree = tree
         self.generator_images = generator_images
 
     def __repr__(self):
@@ -333,10 +325,8 @@ def _tree_gauge(L: LocalSystem) -> tuple:
 
 
 def holonomy(L: LocalSystem) -> Holonomy:
-    violations = check_flat(L)
-    if violations:
-        raise NotFlatError("system is not flat", triangles=violations)
-    return Holonomy(L.base, L.rank, spanning_tree(L.base), _tree_gauge(L)[1])
+    _require_flat(L)
+    return Holonomy(L.base, L.rank, _tree_gauge(L)[1])
 
 
 def holonomy_around(L: LocalSystem, path: Sequence[int]) -> Matrix:
@@ -368,19 +358,13 @@ def gauge_transform(L: LocalSystem, frames) -> LocalSystem:
 
 def dual(L: LocalSystem) -> LocalSystem:
     """The dual system: transports become inverse transposes, so the pairing
-    of a dual section against a section is transport-invariant.
-
-    Computed once per system and kept on it.  The dual of a tensor product
-    is the tensor product of the duals, which is exactly equal because
-    (A kron B)^-T = A^-T kron B^-T, so only the factors' transports are
-    inverted."""
+    of a dual section against a section is transport-invariant.  Computed
+    once per system and kept on it, inverting each distinct transport
+    object once."""
     if L._dual is None:
-        if L._factors is not None:
-            L._dual = tensor_system(*(dual(factor) for factor in L._factors))
-        else:
-            flip = _once_per_object(lambda m: L._inverse(m).transpose())
-            transport = {e: flip(m) for e, m in L.transport.items()}
-            L._dual = LocalSystem(L.base, L.rank, transport)
+        flip = _once_per_object(lambda m: L._inverse(m).transpose())
+        transport = {e: flip(m) for e, m in L.transport.items()}
+        L._dual = LocalSystem(L.base, L.rank, transport)
     return L._dual
 
 
@@ -389,9 +373,7 @@ def tensor_system(L1: LocalSystem, L2: LocalSystem) -> LocalSystem:
         raise BaseMismatchError("tensor product needs a common base")
     kron = _once_per_object(Matrix.kron)
     transport = {e: kron(L1.transport[e], L2.transport[e]) for e in L1.base.edges}
-    out = LocalSystem(L1.base, L1.rank * L2.rank, transport)
-    out._factors = (L1, L2)
-    return out
+    return LocalSystem(L1.base, L1.rank * L2.rank, transport)
 
 
 def tensor_power(L: LocalSystem, k: int) -> LocalSystem:

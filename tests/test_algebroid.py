@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,27 +20,38 @@ from algebroids import (
     change_splitting,
     coboundary,
     compose,
+    cup_power,
     dual,
     from_representation,
     fundamental_cocycle,
+    gauge_transform,
     identity_map,
     induced_map,
     invariant_sections,
     make_algebroid,
+    pair_flat,
     pullback_algebroid,
     pullback_cochain,
     sym_power,
+    tensor_power,
+    torus_grid,
     trivial_algebroid,
     trivial_system,
     untwisted_class,
     untwisted_space,
+    validate_complex,
     zero_cochain,
 )
 from algebroids import cli, local_systems
+from algebroids.cohomology import is_flat_section
 
 from conftest import (
+    rand_fraction,
+    rand_invertible_matrix,
+    rand_invertible_scalar,
     random_cochain,
     random_flat_system,
+    random_gauge,
     torus_swap_map,
     torus_shift_map,
 )
@@ -264,3 +277,117 @@ def test_chern_weil_derives_once_per_distinct_transport(rep, monkeypatch, capsys
             tuple(id(x) if isinstance(x, Matrix) else x for x in args) for args in records
         )
         assert max(keys.values()) == 1, name
+
+
+def _reference_chern_weil(A, phi, k, P):
+    """The Chern-Weil class the long way round: embed phi as a section of
+    the dual of P, the k-th tensor power of the adjoint (each word
+    coordinate is the monomial coordinate of its sorted word, weighted by
+    the product of the letter multiplicity factorials), check that the
+    embedding is flat there, pair it with omega^k through ``pair_flat`` and
+    divide by k!.  Callers share P, so its dual is built once."""
+    r = A.adjoint.rank
+    mono_index = {m: i for i, m in enumerate(itertools.combinations_with_replacement(range(r), k))}
+    words = []
+    for word in itertools.product(range(r), repeat=k):
+        key = tuple(sorted(word))
+        weight = 1
+        for count in Counter(key).values():
+            weight *= math.factorial(count)
+        words.append((mono_index[key], weight))
+    power = cup_power(A.omega, k)
+    assert power.system == P
+    power = TwistedCochain(P, 2 * k, power.values)
+    embedded = TwistedCochain(dual(P), 0, {
+        (v,): tuple(phi.value((v,))[m] * weight for m, weight in words)
+        for v in range(A.base.vertex_count)
+    })
+    assert is_flat_section(embedded)
+    paired = pair_flat(embedded, power).scale(Fraction(1, math.factorial(k)))
+    return untwisted_space(A.base, 2 * k).class_of(paired)
+
+
+def _conjugated_pair(rng, rank):
+    """Commuting images with invariants in the symmetric powers of their
+    dual: unipotent in rank 2, diagonal with reciprocal eigenvalues and a
+    fixed line in rank 3, a sign in rank 1."""
+    if rank == 1:
+        return [Matrix([[rng.choice((1, -1))]]) for _ in range(2)]
+    p = rand_invertible_matrix(rng, rank)
+    pi = p.inverse()
+    if rank == 2:
+        return [p * Matrix([[1, rng.randint(1, 3)], [0, 1]]) * pi for _ in range(2)]
+    images = []
+    for _ in range(2):
+        d = rand_invertible_scalar(rng)
+        images.append(p * Matrix.diagonal([d, 1 / d, 1]) * pi)
+    return images
+
+
+def _sphere_product():
+    """S^2 x S^2: the staircase triangulation of the product of two
+    tetrahedron boundaries, vertex (x, y) numbered 4x + y.  Its H^4 is the
+    cup square of its H^2, so k = 2 classes, where the word weights are
+    not all 1, need not vanish; on a torus every class with k >= 2 is
+    zero."""
+    triangles = list(itertools.combinations(range(4), 3))
+    top = set()
+    for s, t in itertools.product(triangles, repeat=2):
+        for steps in set(itertools.permutations((0, 0, 1, 1))):
+            ij = [0, 0]
+            path = [4 * s[0] + t[0]]
+            for step in steps:
+                ij[step] += 1
+                path.append(4 * s[ij[0]] + t[ij[1]])
+            top.add(tuple(path))
+    return validate_complex(16, sorted({
+        face for sigma in top for n in range(2, 6) for face in itertools.combinations(sigma, n)
+    }))
+
+
+def _gauged_system_and_curvature(rng, base, rank):
+    """A seeded gauged flat system with invariants in the symmetric powers
+    of its dual, and a closed 2-cochain in it.  On a torus every 2-cochain
+    is closed; S^2 x S^2 is simply connected, so there the system is a
+    gauged trivial one and the curvature a gauged combination of untwisted
+    H^2 representatives with vector coefficients."""
+    if base.named_loops:
+        a, b = _conjugated_pair(rng, rank)
+        L = random_gauge(rng, from_representation(base, {"a": a, "b": b}))
+        return L, random_cochain(rng, L, 2)
+    frames = {v: rand_invertible_matrix(rng, rank) for v in range(base.vertex_count)}
+    L = gauge_transform(trivial_system(base, rank), frames)
+    reps = untwisted_space(base, 2).representatives
+    coeffs = [[rand_fraction(rng) for _ in range(rank)] for _ in reps]
+    values = {}
+    for sigma in base.simplices_of_dim(2):
+        vec = [sum(rep.value(sigma)[0] * c[a] for rep, c in zip(reps, coeffs)) for a in range(rank)]
+        values[sigma] = frames[sigma[0]].apply(vec)
+    return L, TwistedCochain(L, 2, values)
+
+
+@pytest.mark.parametrize("base", ["torus", "torus4x4", "s2xs2"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_chern_weil_in_the_fiber_equals_the_dual_tensor_power_pairing(base, rank):
+    """On seeded gauged flat systems, for omega and omega + d(eta) and
+    k = 0..3, pairing in the fiber gives the class that the embedding into
+    the dual of the tensor power gives through ``pair_flat``."""
+    c = {"torus": lambda: torus_grid(3, 3), "torus4x4": lambda: torus_grid(4, 4),
+         "s2xs2": _sphere_product}[base]()
+    rng = random.Random(f"{base} {rank}")
+    L, omega = _gauged_system_and_curvature(rng, c, rank)
+    # no 6-simplices: k = 3 on S^2 x S^2 lands in a zero space, as k >= 2
+    # does on a torus, and its tensor power would only be slow to dualize
+    powers = [tensor_power(L, k) for k in range(4 if c.dimension < 4 else 3)]
+    compared, nonzero = 0, set()
+    for omega in (omega, omega + coboundary(random_cochain(rng, L, 1))):
+        A = make_algebroid(L, omega)
+        for k, P in enumerate(powers):
+            for phi in invariant_sections(A, k).basis:
+                cls = chern_weil(A, phi, k)
+                assert cls == _reference_chern_weil(A, phi, k, P)
+                compared += 1
+                if not cls.is_zero():
+                    nonzero.add(k)
+    assert compared >= 4
+    assert nonzero >= ({0, 1, 2} if c.dimension == 4 else {0})

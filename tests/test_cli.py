@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -247,8 +248,9 @@ def test_chern_weil_checks_act_once_per_transport_and_value(run, monkeypatch):
     assert code == 0
     assert "k=2: invariant sections" in out
     edges = len(resolve_complex_spec("builtin:torus4x4").edges)
-    # one check per section in chern_weil and one more in pair_flat
-    assert len(applied) >= 4
+    # one check per section, in chern_weil
+    sections = re.findall(r"invariant sections (\d+)", out)
+    assert len(applied) == sum(map(int, sections)) >= 3
     for keys in applied:
         assert len(keys) == len(set(keys))
         assert len(keys) < edges
@@ -256,6 +258,30 @@ def test_chern_weil_checks_act_once_per_transport_and_value(run, monkeypatch):
     for pairs in products:
         for a, b in pairs:
             assert not a.is_identity() and not b.is_identity()
+
+
+def test_chern_weil_dualizes_only_the_adjoint(run, monkeypatch):
+    """A query pairs each section with omega^k in the fiber, so the only
+    system it dualizes is the adjoint, whose Sym^k duals hold the sections."""
+    local_systems = sys.modules["algebroids.local_systems"]
+    dualized = []
+    dual = local_systems.dual
+
+    def recording_dual(L):
+        dualized.append(L)
+        return dual(L)
+
+    _patch_everywhere(monkeypatch, dual, recording_dual)
+    code, out, _ = run(
+        "chern-weil", "--complex", "builtin:torus4x4",
+        "--rep-file", str(FIXTURES / "rep3_unipotent.json"),
+        "--omega", str(FIXTURES / "omega_torus4x4_rank3.json"), "--max-k", "2",
+    )
+    assert code == 0
+    assert "k=2: invariant sections" in out
+    assert dualized
+    assert {id(L) for L in dualized} == {id(dualized[0])}
+    assert dualized[0].rank == 3
 
 
 def test_char_classes_text(run):

@@ -9,7 +9,9 @@ The ``pullback`` rows print loop holonomies of a pulled-back system: they
 read map files written by the test, ``{cover}`` (the 3x6 torus wrapping
 twice around the 3x3 one) and ``{negate}`` ((row, col) -> (-col, -row) on
 the 3x3 torus, which reverses edge orientations).  Their hashes were
-recorded before ``holonomy`` moved onto the spanning-tree gauge pass.
+recorded before ``holonomy`` moved onto the spanning-tree gauge pass; the
+rank-2 text rows and the trivial-holonomy row were recorded before
+``pullback`` took its document from ``jsonio.representation_to_json``.
 
 The rank-2 and rank-3 ``chern-weil`` rows read checked-in inputs from
 ``tests/fixtures/chern_weil`` (``{fx}``): unipotent and diagonal
@@ -155,6 +157,15 @@ GOLDEN = [
      EMPTY),
     (('pullback', '--map', '{negate}', '--rep-file', '{rep2}', '--json'),
      0, '116466e53a8be61149451d09f84394f7b2af8d6c4d348b83f62a8c0db8d4f1e9',
+     EMPTY),
+    (('pullback', '--map', '{cover}', '--rep-file', '{rep2}'),
+     0, '7a7b2259ef93adc970d3fec2fbfd0eff0d6637031d9d0120d57b7e3f27378299',
+     EMPTY),
+    (('pullback', '--map', '{negate}', '--rep-file', '{rep2}'),
+     0, '29c5de157a58e026cb276eaa486ba1fcb1be736f69879f42bcdce6db158f4bee',
+     EMPTY),
+    (('pullback', '--map', '{cover}', '--rep', 'a=1,b=1'),
+     0, '0d3f9bf591b61061563e5bfedd9d3743dc108367398ea2b7f51001ab5647224e',
      EMPTY),
     (('chern-weil', '--complex', 'builtin:torus', '--rep', 'a=2,b=1', '--omega', 'fundamental'),
      0, 'd65397380e6e48f61e62f312cfadbdbfc7b8c77b0860eb9eb9354f9de984bde2',

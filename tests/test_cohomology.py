@@ -12,6 +12,7 @@ from algebroids import (
     NotClosedError,
     NotFlatError,
     TwistedCochain,
+    boundary_matrix,
     circle_model,
     coboundary,
     coboundary_matrix,
@@ -368,6 +369,38 @@ def test_cup_equals_the_product_along_the_front_face(front):
             b = carry.apply(beta.value(sigma[front:]))
             expected = tuple(x * y for x in alpha.value(path) for y in b)
             assert product.value(sigma) == expected
+
+
+def _boundary_by_faces(c, n):
+    """The simplicial boundary of n-chains, entry by entry: the sign of each
+    face in each n-simplex."""
+    src, dst = c.simplices_of_dim(n), c.simplices_of_dim(n - 1)
+    row_of = {s: i for i, s in enumerate(dst)}
+    rows = [[0] * len(src) for _ in dst]
+    for j, sigma in enumerate(src):
+        for i in range(n + 1):
+            rows[row_of[sigma[:i] + sigma[i + 1 :]]][j] += (-1) ** i
+    return Matrix(rows, cols=len(src))
+
+
+def test_boundary_matrix_is_the_transposed_untwisted_coboundary(torus, tet, circle3):
+    for c in (torus, tet, circle3):
+        for n in range(1, c.dimension + 1):
+            assert boundary_matrix(c, n) == _boundary_by_faces(c, n)
+        # above the top dimension: no n-chains, and then no (n-1)-chains
+        top = boundary_matrix(c, c.dimension + 1)
+        assert (top.rows, top.cols) == (len(c.simplices_of_dim(c.dimension)), 0)
+        above = boundary_matrix(c, c.dimension + 2)
+        assert (above.rows, above.cols) == (0, 0)
+        d_top = coboundary_matrix(trivial_system(c, 2), c.dimension)
+        assert (d_top.rows, d_top.cols) == (0, 2 * len(c.simplices_of_dim(c.dimension)))
+
+
+def test_degree_below_zero_is_a_degree_error(torus):
+    with pytest.raises(DegreeError):
+        boundary_matrix(torus, 0)
+    with pytest.raises(DegreeError):
+        coboundary_matrix(trivial_system(torus), -1)
 
 
 def test_fundamental_cycle_is_unique_and_normalized(torus, disk):

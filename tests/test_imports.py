@@ -7,7 +7,10 @@ There is no linter in the toolchain, so these walk the syntax trees:
   (``__init__.py`` only re-exports, so it is exempt);
 - only ``complexes.py`` and ``local_systems.py`` walk a spanning tree, that
   is read its ``parent`` or ``order``: every other module takes loop sums,
-  holonomies and frames from the one pass each of those makes.
+  holonomies and frames from the one pass each of those makes;
+- no definition is dead: every function, method and class defined in the
+  package (dunders aside) is referenced, as a name or an attribute, from
+  the package or its tests.
 """
 
 import ast
@@ -16,6 +19,7 @@ from pathlib import Path
 import algebroids
 
 PACKAGE = Path(algebroids.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # (module, name) pairs that are imported on purpose without being read
 ALLOWED = {
@@ -89,3 +93,50 @@ def test_the_check_finds_a_tree_walk(tmp_path):
     path.write_text("def f(tree, parents):\n    for v in tree.order[1:]:\n"
                     "        yield parents[v], tree.parent[v], tree.root\n")
     assert tree_walks(path) == [(2, "order"), (3, "parent")]
+
+
+def definitions(path: Path) -> list:
+    """(line, name) of every function, method and class a module defines,
+    dunders aside."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def references(paths) -> set:
+    """Every name read or written, and every attribute, in the given modules."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
+
+
+def test_every_definition_is_referenced():
+    used = references(sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")))
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in definitions(path)
+        if name not in used
+    ]
+    assert found == []
+
+
+def test_the_check_finds_an_unreferenced_definition(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("class A:\n    def __init__(self):\n        pass\n"
+                    "    def build(self):\n        return helper()\n"
+                    "    def used(self):\n        pass\n"
+                    "def helper():\n    return A().used\n")
+    assert definitions(path) == [(1, "A"), (4, "build"), (6, "used"), (8, "helper")]
+    unreferenced = [name for _, name in definitions(path) if name not in references([path])]
+    assert unreferenced == ["build"]

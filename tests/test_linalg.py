@@ -27,6 +27,14 @@ def test_matrix_identity_and_zeros():
     assert i2 * i2 == i2
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 5), (5, 0), (0, 0), (2, 3)])
+def test_transpose_swaps_the_shape_of_degenerate_matrices(rows, cols):
+    t = Matrix.zeros(rows, cols).transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert t == Matrix.zeros(cols, rows)
+    assert t.transpose() == Matrix.zeros(rows, cols)
+
+
 def test_matrix_shapes_are_checked():
     with pytest.raises(InputError):
         Matrix([[1, 2], [3]])
