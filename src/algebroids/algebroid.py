@@ -205,14 +205,12 @@ def chern_weil(A: CommAlgebroid, phi: TwistedCochain, k: int) -> CohomologyClass
     return A._untwisted_space(2 * k).class_of(paired)
 
 
-def chern_weil_image(A: CommAlgebroid, max_k: int | None = None) -> dict:
+def chern_weil_image(A: CommAlgebroid) -> dict:
     """Chern-Weil classes of a basis of invariant sections, per symmetric
     power k >= 1.  Powers whose target degree 2k exceeds the base dimension
     are omitted (their classes land in zero spaces)."""
-    if max_k is None:
-        max_k = A.base.dimension // 2
     out = {}
-    for k in range(1, max_k + 1):
+    for k in range(1, A.base.dimension // 2 + 1):
         sections = invariant_sections(A, k)
         out[k] = [chern_weil(A, phi, k) for phi in sections.basis]
     return out

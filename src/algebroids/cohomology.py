@@ -37,7 +37,7 @@ from .errors import (
     NotFlatError,
     UnknownGeneratorError,
 )
-from .linalg import Matrix, _RowSpace, _subtract, kernel_basis, rref, solve
+from .linalg import Matrix, _RowSpace, _coerce_rational, _subtract, kernel_basis, rref, solve
 from .local_systems import (
     LocalSystem,
     _once_per_object,
@@ -83,9 +83,9 @@ class TwistedCochain:
             if vec is None:
                 out[s] = zero
                 continue
-            if isinstance(vec, (int, Fraction)):
+            if isinstance(vec, (int, float, Fraction)):
                 vec = (vec,)
-            vec = tuple(Fraction(x) for x in vec)
+            vec = tuple(_coerce_rational(x) for x in vec)
             if len(vec) != system.rank:
                 raise InputError(
                     f"value on {s} has length {len(vec)}, fiber rank is {system.rank}"
@@ -150,7 +150,7 @@ class TwistedCochain:
         return TwistedCochain._trusted(self.system, self.degree, values)
 
     def scale(self, scalar) -> "TwistedCochain":
-        scalar = Fraction(scalar)
+        scalar = _coerce_rational(scalar)
         values = {s: tuple(scalar * a for a in v) for s, v in self.values.items()}
         return TwistedCochain._trusted(self.system, self.degree, values)
 
@@ -375,7 +375,7 @@ class CohomologyClass:
 
     def __init__(self, degree: int, coordinates):
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coordinates", tuple(Fraction(x) for x in coordinates))
+        object.__setattr__(self, "coordinates", tuple(_coerce_rational(x) for x in coordinates))
 
     def __setattr__(self, name, value):
         raise AttributeError("cohomology classes are immutable")
@@ -391,7 +391,7 @@ class CohomologyClass:
         )
 
     def scale(self, scalar) -> "CohomologyClass":
-        scalar = Fraction(scalar)
+        scalar = _coerce_rational(scalar)
         return CohomologyClass(self.degree, tuple(scalar * a for a in self.coordinates))
 
     def __eq__(self, other):
@@ -601,7 +601,7 @@ def evaluate_on_chain(phi: TwistedCochain, chain: Mapping) -> Fraction:
         raise InputError("chain evaluation needs a rank-1 cochain")
     total = Fraction(0)
     for simplex, coeff in chain.items():
-        total += Fraction(coeff) * phi.value(simplex)[0]
+        total += _coerce_rational(coeff) * phi.value(simplex)[0]
     return total
 
 

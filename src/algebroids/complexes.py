@@ -2,9 +2,11 @@
 
 Vertices are the integers 0..N-1 and every simplex is stored as a strictly
 increasing tuple, so each simplex carries the orientation induced by the
-vertex order.  Complexes are required to be face-closed and connected; the
-connectivity requirement is what lets a breadth-first spanning tree rooted at
-vertex 0 serve as a global gauge for local systems.
+vertex order; the vertices are the 0-simplices.  Complexes are required to
+be face-closed and connected; the connectivity requirement is what lets a
+breadth-first spanning tree rooted at vertex 0 serve as a global gauge for
+local systems.  That tree is built once, by the search that ``Complex``
+runs at construction to test connectivity, and is stored on the complex.
 
 Built-in models carry named loops (closed edge paths) together with winding
 cocycles: rational 1-cocycles dual to those loops.  The winding data is what
@@ -34,20 +36,55 @@ from .errors import (
 
 
 class Complex:
-    """A finite, face-closed, connected, ordered simplicial complex."""
+    """A finite, face-closed, connected, ordered simplicial complex.
+
+    Construction runs the one breadth-first search of the complex, from
+    vertex 0 with neighbors in ascending order.  It raises
+    ``DisconnectedComplexError`` naming the first vertex it cannot reach,
+    and it keeps the spanning tree and the non-tree edges it finds."""
 
     def __init__(self, vertex_count, simplices_by_dim, named_loops=None,
                  loop_cocycles=None, name=None):
         self.vertex_count = vertex_count
-        self.simplices = {
+        simplices = {
             n: tuple(sorted(simps)) for n, simps in simplices_by_dim.items() if simps
         }
-        self.dimension = max(self.simplices, default=0)
+        # the search touches only vertices that lie on an edge, so a declared
+        # vertex count far beyond the edges fails before any per-vertex memory
+        adjacency: dict = {}
+        for i, j in simplices.get(1, ()):
+            adjacency.setdefault(i, []).append(j)
+            adjacency.setdefault(j, []).append(i)
+        parent = {0: 0}
+        order = [0]
+        tree_edges = set()
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for w in adjacency.get(v, ()):
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+                    tree_edges.add((min(v, w), max(v, w)))
+                    queue.append(w)
+        if len(parent) != vertex_count:
+            missing = next(v for v in itertools.count() if v not in parent)
+            raise DisconnectedComplexError(
+                f"vertex {missing} is not reachable from vertex 0", vertex=missing
+            )
+        self.tree = SpanningTree(
+            tuple(parent[v] for v in range(vertex_count)),
+            tuple(order),
+            frozenset(tree_edges),
+            tuple(e for e in simplices.get(1, ()) if e not in tree_edges),
+        )
+        simplices[0] = tuple((v,) for v in range(vertex_count))
+        self.simplices = simplices
+        self.dimension = max(self.simplices)
         self.named_loops = dict(named_loops or {})
         self.loop_cocycles = dict(loop_cocycles or {})
         self.name = name
         self._sets = {n: frozenset(s) for n, s in self.simplices.items()}
-        self._tree = None
 
     @property
     def edges(self) -> tuple:
@@ -58,14 +95,10 @@ class Complex:
         return self.simplices.get(2, ())
 
     def simplices_of_dim(self, n: int) -> tuple:
-        if n == 0:
-            return tuple((v,) for v in range(self.vertex_count))
         return self.simplices.get(n, ())
 
     def has_simplex(self, simplex) -> bool:
         t = tuple(simplex)
-        if len(t) == 1:
-            return 0 <= t[0] < self.vertex_count
         return t in self._sets.get(len(t) - 1, frozenset())
 
     def neighbors(self, v: int) -> tuple:
@@ -78,10 +111,7 @@ class Complex:
         return tuple(sorted(out))
 
     def euler_characteristic(self) -> int:
-        chi = self.vertex_count
-        for n, simps in self.simplices.items():
-            chi += (-1) ** n * len(simps)
-        return chi
+        return sum((-1) ** n * len(simps) for n, simps in self.simplices.items())
 
     def counts(self) -> tuple:
         return tuple(
@@ -104,7 +134,9 @@ class Complex:
 
 def validate_complex(vertex_count, simplices, named_loops=None,
                      loop_cocycles=None, name=None) -> Complex:
-    """Check and build a complex, naming the first violation on failure."""
+    """Check and build a complex, naming the first violation on failure: the
+    simplices, then their faces, then (in ``Complex``) connectivity, then the
+    named loops."""
     if not isinstance(vertex_count, int) or vertex_count < 1:
         raise SchemaError("vertex count must be a positive integer")
     by_dim: dict = {}
@@ -135,29 +167,9 @@ def validate_complex(vertex_count, simplices, named_loops=None,
                         face=face,
                     )
 
-    # adjacency and the search touch only vertices that lie on an edge, so
-    # memory grows with the input and not with the declared vertex count
-    adjacency: dict = {}
-    for i, j in sorted(by_dim.get(1, set())):
-        adjacency.setdefault(i, []).append(j)
-        adjacency.setdefault(j, []).append(i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adjacency.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != vertex_count:
-        missing = next(v for v in itertools.count() if v not in seen)
-        raise DisconnectedComplexError(
-            f"vertex {missing} is not reachable from vertex 0", vertex=missing
-        )
-
     c = Complex(
         vertex_count,
-        {n: sorted(s) for n, s in by_dim.items()},
+        by_dim,
         named_loops=named_loops,
         loop_cocycles=loop_cocycles,
         name=name,
@@ -261,47 +273,25 @@ def loop_pairing(cocycle: dict, path: Sequence[int], zero=Fraction(0)):
 
 class SpanningTree:
     """Breadth-first spanning tree rooted at vertex 0: ``parent[v]`` is the
-    vertex v was reached from, and ``order`` lists parents first."""
+    vertex v was reached from, ``order`` lists parents first, and
+    ``non_tree_edges`` are the other edges in edge order."""
 
-    def __init__(self, root, parent, order, tree_edges):
-        self.root = root
+    root = 0
+
+    def __init__(self, parent, order, tree_edges, non_tree_edges):
         self.parent = parent
         self.order = order
         self.tree_edges = tree_edges
+        self.non_tree_edges = non_tree_edges
 
 
 def spanning_tree(c: Complex) -> SpanningTree:
-    """Deterministic BFS tree from vertex 0, neighbors taken in ascending
-    order.  Cached on the complex."""
-    if c._tree is not None:
-        return c._tree
-    adjacency = {v: [] for v in range(c.vertex_count)}
-    for i, j in c.edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    for v in adjacency:
-        adjacency[v].sort()
-    parent = [-1] * c.vertex_count
-    parent[0] = 0
-    order = [0]
-    tree_edges = set()
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
-            if parent[w] == -1:
-                parent[w] = v
-                order.append(w)
-                tree_edges.add((min(v, w), max(v, w)))
-                queue.append(w)
-    tree = SpanningTree(0, tuple(parent), tuple(order), frozenset(tree_edges))
-    c._tree = tree
-    return tree
+    """The breadth-first tree from vertex 0 that building ``c`` found."""
+    return c.tree
 
 
 def non_tree_edges(c: Complex) -> tuple:
-    tree = spanning_tree(c)
-    return tuple(e for e in c.edges if e not in tree.tree_edges)
+    return c.tree.non_tree_edges
 
 
 def loop_sums(c: Complex, cochain: Mapping) -> dict:

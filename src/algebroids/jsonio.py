@@ -10,6 +10,7 @@ Simplices and edges appear in object keys as underscore-joined vertex lists:
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .complexes import (
     torus_grid,
     validate_complex,
 )
-from .errors import AlgebroidError, SchemaError
+from .errors import AlgebroidError, InputError, SchemaError
 from .linalg import Matrix
 from .local_systems import LocalSystem, from_representation
 
@@ -41,6 +42,8 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise SchemaError(f"zero denominator in {text!r}") from None
+    except ValueError:  # past the interpreter's limit on decimal digits
+        raise SchemaError(f"rational of {len(text)} characters has too many digits") from None
 
 
 def format_rational(q) -> str:
@@ -86,13 +89,10 @@ def complex_from_json(data) -> Complex:
 
 
 def complex_to_json(c: Complex) -> dict:
-    simplices = []
-    for n in sorted(c.simplices):
-        simplices.extend(list(s) for s in c.simplices[n])
     return {
         "schema_version": SCHEMA_VERSION,
         "vertices": c.vertex_count,
-        "simplices": simplices,
+        "simplices": [list(s) for n in range(1, c.dimension + 1) for s in c.simplices_of_dim(n)],
     }
 
 
@@ -128,20 +128,14 @@ def representation_from_json(c: Complex, data) -> LocalSystem:
     return from_representation(c, images, rank=rank)
 
 
-def representation_to_json(L: LocalSystem, edges=None) -> dict:
-    """Serialize transports on the given edges (default: all non-identity
-    ones) as explicit edge entries."""
-    if edges is None:
-        edges = [e for e in L.base.edges if not L.transport[e].is_identity()]
+def representation_to_json(L: LocalSystem) -> dict:
+    """Serialize the non-identity transports as explicit edge entries."""
     entries = {}
-    for e in edges:
+    for e in L.base.edges:
         m = L.transport[e]
-        if L.rank == 1:
-            entries[_simplex_key("edge", e)] = format_rational(m.entries[0][0])
-        else:
-            entries[_simplex_key("edge", e)] = [
-                [format_rational(x) for x in row] for row in m.entries
-            ]
+        if not m.is_identity():
+            rows = [[format_rational(x) for x in row] for row in m.entries]
+            entries[_simplex_key("edge", e)] = rows[0][0] if L.rank == 1 else rows
     return {"schema_version": SCHEMA_VERSION, "rank": L.rank, "entries": entries}
 
 
@@ -181,19 +175,16 @@ def cochain_to_json(phi: TwistedCochain) -> dict:
     }
 
 
-def algebroid_from_json(data, complex_override: Complex | None = None) -> CommAlgebroid:
+def algebroid_from_json(data) -> CommAlgebroid:
     """Bundle format: complex (inline object or builtin string), a
     representation block, and an omega block."""
     if not isinstance(data, dict):
         raise SchemaError("algebroid document must be an object")
     _check_version(data, "algebroid")
-    if complex_override is not None:
-        c = complex_override
-    else:
-        spec = data.get("complex")
-        if spec is None:
-            raise SchemaError("algebroid document needs a 'complex'")
-        c = resolve_complex_spec(spec)
+    spec = data.get("complex")
+    if spec is None:
+        raise SchemaError("algebroid document needs a 'complex'")
+    c = resolve_complex_spec(spec)
     rep = data.get("representation")
     if rep is None:
         raise SchemaError("algebroid document needs a 'representation'")
@@ -225,6 +216,10 @@ def map_from_json(data) -> SimplicialMap:
 
 _BUILTIN_RE = re.compile(r"^builtin:(circle(?P<n>\d+)?|torus(?P<r>\d+)x(?P<c>\d+)|torus)$")
 
+# The most vertices a builtin model may have, checked before it is built:
+# torus200x200 takes about 2 s and 100 MB to build.
+MAX_BUILTIN_VERTICES = 40_000
+
 
 def builtin_complex(name: str) -> Complex:
     m = _BUILTIN_RE.match(name)
@@ -232,9 +227,18 @@ def builtin_complex(name: str) -> Complex:
         raise SchemaError(
             f"unknown builtin {name!r}; try builtin:circle3 or builtin:torus3x3"
         )
-    if m.group(0).startswith("builtin:circle"):
-        return circle_model(int(m.group("n") or 3))
-    return torus_grid(int(m.group("r") or 3), int(m.group("c") or 3))
+    circle = m.group(0).startswith("builtin:circle")
+    digits = (m.group("n") or "3",) if circle else (m.group("r") or "3", m.group("c") or "3")
+    try:
+        sizes = [int(d) for d in digits]
+    except ValueError:  # past the interpreter's limit on decimal digits
+        raise SchemaError(f"builtin size of {max(map(len, digits))} digits is too long") from None
+    if math.prod(sizes) > MAX_BUILTIN_VERTICES:
+        raise InputError(
+            f"builtin model has more than {MAX_BUILTIN_VERTICES} vertices",
+            limit=MAX_BUILTIN_VERTICES,
+        )
+    return circle_model(*sizes) if circle else torus_grid(*sizes)
 
 
 def resolve_complex_spec(spec) -> Complex:
@@ -254,7 +258,7 @@ def load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or too many digits
         raise SchemaError(f"invalid JSON in {path}: {exc}") from None
 
 

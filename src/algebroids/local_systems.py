@@ -360,7 +360,10 @@ def dual(L: LocalSystem) -> LocalSystem:
     """The dual system: transports become inverse transposes, so the pairing
     of a dual section against a section is transport-invariant.  Computed
     once per system and kept on it, inverting each distinct transport
-    object once."""
+    object once.  A tensor product is inverted as it stands, not factor by
+    factor: each distinct Kronecker transport of ``tensor_power(L, k)`` has
+    size r^k and costs about r^(3k), where the duals of its k rank-r
+    factors would cost about k r^3."""
     if L._dual is None:
         flip = _once_per_object(lambda m: L._inverse(m).transpose())
         transport = {e: flip(m) for e, m in L.transport.items()}

@@ -477,3 +477,57 @@ def test_a_holonomy_over_the_factoring_bound_fails_typed():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error [BAD_INPUT]: cannot factor ")
+
+
+@pytest.mark.parametrize("name", ["torus2000x2000", "torus99999999x99999999", "circle40001"])
+def test_a_builtin_past_the_size_bound_fails_fast_in_bounded_memory(name):
+    """A builtin name is a few bytes however large the model it names, so
+    its size is checked against a bound before anything is built."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(algebroids.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroids.cli", "validate", "--complex", f"builtin:{name}"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error [BAD_INPUT]: builtin model has more than 40000 vertices\n"
+
+
+def test_builtin_models_up_to_the_bound_are_built(run):
+    code, out, _ = run("validate", "--complex", "builtin:torus100x100")
+    assert code == 0
+    assert "complex ok: 10000 vertices, 30000 edges, 20000 triangles" in out
+    code, _, err = run("validate", "--complex", "builtin:torus200x201")
+    assert code == 1
+    assert err.startswith("error [BAD_INPUT]")
+
+
+DIGITS = "7" * 5000  # past the interpreter's 4,300-digit limit on int(str)
+
+
+def test_an_inline_rational_past_the_digit_limit_fails_typed(run):
+    code, _, err = run("cohomology", "--complex", "builtin:torus", "--rep", f"a={DIGITS},b=1")
+    assert code == 1
+    assert err == "error [BAD_SCHEMA]: rational of 5000 characters has too many digits\n"
+
+
+def test_a_builtin_size_past_the_digit_limit_fails_typed(run):
+    code, _, err = run("validate", "--complex", f"builtin:torus{DIGITS}x3")
+    assert code == 1
+    assert err == "error [BAD_SCHEMA]: builtin size of 5000 digits is too long\n"
+
+
+@pytest.mark.parametrize("option", ["--rep-file", "--complex"])
+def test_a_json_number_past_the_digit_limit_fails_typed(run, tmp_path, option):
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"vertices": 3, "simplices": [], "entries": {{"edge_0_1": {DIGITS}}}}}')
+    argv = ["--complex", "builtin:torus", "--rep-file", str(path)]
+    if option == "--complex":
+        argv = ["--complex", str(path)]
+    code, _, err = run("cohomology", *argv)
+    assert code == 1
+    assert err.startswith(f"error [BAD_SCHEMA]: invalid JSON in {path}: ")

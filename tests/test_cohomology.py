@@ -6,6 +6,7 @@ import pytest
 from algebroids import (
     CohomologyClass,
     DegreeError,
+    DomainMismatchError,
     InputError,
     Matrix,
     NotASubspaceError,
@@ -99,6 +100,28 @@ def test_cochain_arithmetic(circle3):
     assert (phi - phi).is_zero()
     assert phi.scale(2).value((1,)) == (Fraction(4),)
     assert (-phi).value((0,)) == (Fraction(-1),)
+
+
+@pytest.mark.parametrize("bad", [0.1, True, 1.0, "1"])
+def test_cochains_and_classes_take_only_rationals(circle3, bad):
+    """Every entry point coerces as ``Matrix`` does: a float would silently
+    become its binary expansion and a bool an integer, so both are refused."""
+    L = trivial_system(circle3)
+    phi = TwistedCochain(L, 0, {(0,): 1})
+    cls = CohomologyClass(0, (1,))
+    attempts = [
+        lambda: TwistedCochain(L, 0, {(0,): bad}),
+        lambda: TwistedCochain(L, 0, {(0,): (bad,)}),
+        lambda: phi.scale(bad),
+        lambda: CohomologyClass(0, (bad,)),
+        lambda: cls.scale(bad),
+        lambda: evaluate_on_chain(phi, {(0,): bad}),
+    ]
+    for attempt in attempts:
+        with pytest.raises(DomainMismatchError):
+            attempt()
+    assert phi.scale(Fraction(1, 3)).value((0,)) == (Fraction(1, 3),)
+    assert evaluate_on_chain(phi, {(0,): 2, (1,): Fraction(1, 2)}) == 2
 
 
 def test_untwisted_coboundary_is_finite_difference(circle3):

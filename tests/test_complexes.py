@@ -1,9 +1,12 @@
+import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from algebroids import (
+    Complex,
     DisconnectedComplexError,
     MapValidationError,
     MissingFaceError,
@@ -100,6 +103,84 @@ def test_spanning_tree_of_torus_is_frozen(torus):
     assert (tree.parent[5], tree.parent[1]) == (1, 0)
     assert tree.parent[0] == 0
     assert tree.order[0] == 0
+
+
+def reference_tree(c):
+    """The spanning tree as a search of its own builds it: breadth first
+    from vertex 0 over adjacency lists of every vertex, sorted ascending.
+    Returns parent, order, tree edges and the non-tree edges in edge order."""
+    adjacency = {v: [] for v in range(c.vertex_count)}
+    for i, j in c.edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    for v in adjacency:
+        adjacency[v].sort()
+    parent = [-1] * c.vertex_count
+    parent[0] = 0
+    order = [0]
+    tree_edges = set()
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in adjacency[v]:
+            if parent[w] == -1:
+                parent[w] = v
+                order.append(w)
+                tree_edges.add((min(v, w), max(v, w)))
+                queue.append(w)
+    chords = tuple(e for e in c.edges if e not in tree_edges)
+    return tuple(parent), tuple(order), frozenset(tree_edges), chords
+
+
+def random_connected_complex(rng):
+    """A connected complex on shuffled vertex labels: a random tree, extra
+    edges, and every triangle whose three edges are present, kept at random."""
+    n = rng.randint(2, 14)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = {tuple(sorted((labels[k], labels[rng.randrange(k)]))) for k in range(1, n)}
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.sample(range(n), 2)
+        edges.add((min(i, j), max(i, j)))
+    triangles = [
+        t for t in itertools.combinations(range(n), 3)
+        if all(f in edges for f in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])))
+        and rng.random() < 0.5
+    ]
+    return validate_complex(n, sorted(edges) + triangles)
+
+
+GRIDS = [(r, c) for r in range(3, 9) for c in range(3, 9)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda rc=rc: torus_grid(*rc) for rc in GRIDS]
+    + [lambda n=n: circle_model(n) for n in (3, 4, 5, 8, 13)]
+    + [lambda seed=seed: random_connected_complex(random.Random(seed)) for seed in range(40)],
+    ids=[f"torus{r}x{c}" for r, c in GRIDS]
+    + [f"circle{n}" for n in (3, 4, 5, 8, 13)]
+    + [f"random{seed}" for seed in range(40)],
+)
+def test_the_stored_tree_is_the_breadth_first_reference(build):
+    c = build()
+    tree = spanning_tree(c)
+    assert (tree.parent, tree.order, tree.tree_edges, non_tree_edges(c)) == reference_tree(c)
+    assert tree.root == 0
+
+
+def test_a_disconnected_complex_built_directly_raises():
+    with pytest.raises(DisconnectedComplexError) as info:
+        Complex(4, {1: [(0, 1), (2, 3)]})
+    assert info.value.details == {"vertex": 2}
+    with pytest.raises(DisconnectedComplexError):
+        Complex(3, {})
+
+
+def test_the_vertices_are_the_0_simplices(torus):
+    assert torus.simplices_of_dim(0) == tuple((v,) for v in range(9))
+    assert torus.has_simplex((8,)) and not torus.has_simplex((9,))
+    assert not torus.has_simplex((-1,))
 
 
 def test_named_loops_and_windings(torus):

@@ -10,7 +10,11 @@ There is no linter in the toolchain, so these walk the syntax trees:
   holonomies and frames from the one pass each of those makes;
 - no definition is dead: every function, method and class defined in the
   package (dunders aside) is referenced, as a name or an attribute, from
-  the package or its tests.
+  the package or its tests;
+- no option is dead: every parameter with a default, on a function or
+  method of the package, is passed by some call in the package or its
+  tests.  Calls are matched by name, and a class's call is its
+  ``__init__``.
 """
 
 import ast
@@ -140,3 +144,73 @@ def test_the_check_finds_an_unreferenced_definition(tmp_path):
     assert definitions(path) == [(1, "A"), (4, "build"), (6, "used"), (8, "helper")]
     unreferenced = [name for _, name in definitions(path) if name not in references([path])]
     assert unreferenced == ["build"]
+
+
+def defaulted_parameters(path: Path) -> list:
+    """(line, callee, parameter, position) of every parameter with a default
+    on a function or method a module defines.  The callee of ``__init__`` is
+    its class; ``position`` is the index among a call's positional arguments
+    (``self`` or ``cls`` not counted), None for a keyword-only parameter."""
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                callee = owner if node.name == "__init__" else node.name
+                skip = owner is not None
+                first = len(positional) - len(args.defaults)
+                for i in range(first, len(positional)):
+                    found.append((node.lineno, callee, positional[i].arg, i - skip))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((node.lineno, callee, arg.arg, None))
+                visit(node.body, None)
+
+    visit(ast.parse(path.read_text(), filename=str(path)).body, None)
+    return sorted(found)
+
+
+def passed_arguments(paths) -> dict:
+    """Per callee name, the keywords and positions its calls pass; ``*`` and
+    ``**`` stand for unpacked positional and keyword arguments."""
+    passed = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                got = passed.setdefault(name, set())
+                got.update("*" if isinstance(a, ast.Starred) else i for i, a in enumerate(node.args))
+                got.update(k.arg or "**" for k in node.keywords)
+    return passed
+
+
+def unpassed_defaults(modules, callers) -> list:
+    passed = passed_arguments(callers)
+    found = []
+    for path in modules:
+        for line, callee, param, position in defaulted_parameters(path):
+            got = passed.get(callee, set())
+            if not got & {param, "**"} and (position is None or not got & {position, "*"}):
+                found.append(f"{path.name}:{line}: {callee}({param})")
+    return found
+
+
+def test_every_default_is_passed_by_some_call():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert unpassed_defaults(modules, modules + sorted(TESTS.glob("*.py"))) == []
+
+
+def test_the_check_finds_a_default_no_call_passes(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("class A:\n    def __init__(self, x, y=0):\n        pass\n"
+                    "    def m(self, z=1, *, w=2):\n        pass\n"
+                    "def f(p, q=None, r=3):\n    return A(1, 2).m(w=5)\n"
+                    "f(*[1], q=2)\n")
+    assert defaulted_parameters(path) == [
+        (2, "A", "y", 1), (4, "m", "w", None), (4, "m", "z", 0), (6, "f", "q", 1), (6, "f", "r", 2),
+    ]
+    assert unpassed_defaults([path], [path]) == ["sample.py:4: m(z)"]
