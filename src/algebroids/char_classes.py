@@ -12,20 +12,35 @@ The span of the log classes, together with its cup powers, is the part of
 the cohomology of the classifying space that the system can see.  On the
 torus model a certificate is produced for surjectivity: explicit prime-class
 combinations hitting each basis vector of H^1 and H^2.
+
+One query makes one ``_ClassQuery``.  It checks the rank and flatness
+first and then builds each derived object on first use and shares it
+with every reader: the log classes (one ``log_classes`` call, over the
+holonomy the system keeps), the untwisted H^n spaces, the fundamental
+cycle (read off the echelon form of B^2 that H^2 already holds, so the
+boundary d_2 is eliminated once), and one cochain or cup product per word
+of primes, so the image words of ``brho_image``, the cup pairs of
+``surjectivity_check`` and the fundamental-class certificate share each
+product.  ``char_class_report``, ``brho_image``, ``image_dims`` and
+``surjectivity_check`` are thin wrappers over it, and nothing it holds
+outlives the query.  The reference torus the surjectivity test compares
+against is built once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Mapping
 
 from .cohomology import (
+    CohomologySpace,
     TwistedCochain,
+    _cocycle_dual_to,
+    _fundamental_cycle_of,
     cup,
     evaluate_on_chain,
-    fundamental_cocycle,
-    fundamental_cycle,
     untwisted_space,
 )
 from .complexes import Complex, loop_pairing, loop_sums, non_tree_edges, torus_model
@@ -152,42 +167,106 @@ def log_classes(L: LocalSystem) -> dict:
     return {p: EdgeClass(L.base, by_prime[p]) for p in sorted(by_prime)}
 
 
+class _ClassQuery:
+    """The derived objects of one query about a rank-1 system, each built
+    on first use and shared by every reader of the query."""
+
+    def __init__(self, L: LocalSystem):
+        _require_rank1_flat(L)
+        self.system = L
+        self.base = L.base
+        self._spaces = {}  # degree -> untwisted H^n
+        self._products = {}  # word of primes -> cochain of their cup product
+
+    @functools.cached_property
+    def logs(self) -> dict:
+        return log_classes(self.system)
+
+    def space(self, degree: int) -> CohomologySpace:
+        out = self._spaces.get(degree)
+        if out is None:
+            out = self._spaces[degree] = untwisted_space(self.base, degree)
+        return out
+
+    @functools.cached_property
+    def cycle(self) -> dict:
+        return _fundamental_cycle_of(self.space(2))
+
+    def product(self, word: tuple) -> TwistedCochain:
+        """The left-associated cup product of the log classes of a word of
+        primes; a one-letter word is the class's cochain."""
+        out = self._products.get(word)
+        if out is None:
+            if len(word) == 1:
+                out = self.logs[word[0]].to_cochain()
+            else:
+                out = cup(self.product(word[:-1]), self.product(word[-1:]))
+            self._products[word] = out
+        return out
+
+    def image(self) -> dict:
+        """``brho_image``: degree 1 keeps each prime whose class is not in
+        the span of the ones before; degree n spans the sorted words of n
+        kept primes (cup is graded-commutative at class level, so sorted
+        words span the products)."""
+        classes = self.logs
+        span = _RowSpace()
+        kept = [p for p in sorted(classes) if span.add(classes[p].coordinates())]
+        out = {1: (len(kept), [classes[p] for p in kept])}
+        for degree in range(2, self.base.dimension + 1):
+            space = self.space(degree)
+            coord_span = _RowSpace()
+            basis = []
+            for word in itertools.combinations_with_replacement(kept, degree):
+                cls = space.class_of(self.product(word))
+                if not cls.is_zero() and coord_span.add(cls.coordinates):
+                    basis.append(cls)
+            out[degree] = (len(basis), basis)
+        return out
+
+    def surjectivity(self) -> tuple:
+        """``surjectivity_check``.  The base test runs before the log
+        classes are read, so ``surjectivity_check`` rejects a base other
+        than the torus model before it factors anything."""
+        c = self.base
+        if c != _reference_torus() or set(c.named_loops) != {"a", "b"}:
+            raise UnsupportedBaseError("surjectivity is decided on the torus model only")
+        classes = self.logs
+        primes = sorted(classes)
+        # row per loop, column per prime: the exponents of the prime on the loop
+        pairing = Matrix(
+            [[classes[p].evaluate_loop(c.named_loops[name]) for p in primes] for name in ("a", "b")],
+            cols=len(primes),
+        )
+        degree_one_full = pairing.rank() == 2
+        cup_pairings = {
+            pair: evaluate_on_chain(self.product(pair), self.cycle)
+            for pair in itertools.combinations(primes, 2)
+        }
+        degree_two_full = any(v != 0 for v in cup_pairings.values())
+
+        surjective = degree_one_full and degree_two_full
+        if not surjective:
+            return False, []
+
+        certificate = [
+            _certify_loop_dual(c, classes, "a"),
+            _certify_loop_dual(c, classes, "b"),
+            _certify_fundamental(self, cup_pairings),
+        ]
+        return True, certificate
+
+
+@functools.cache
+def _reference_torus() -> Complex:
+    return torus_model()
+
+
 def brho_image(L: LocalSystem) -> dict:
     """Dimensions and bases of the subspace of rational cohomology hit by
     the log classes, degree by degree: degree 1 is their span, higher
     degrees are spanned by cup products of the degree-1 basis."""
-    _require_rank1_flat(L)
-    c = L.base
-    classes = log_classes(L)
-    span = _RowSpace()
-    basis_cochains = []
-    degree_one = []
-    for p in sorted(classes):
-        cls = classes[p]
-        if span.add(cls.coordinates()):
-            basis_cochains.append(cls.to_cochain())
-            degree_one.append(cls)
-    out = {1: (len(degree_one), degree_one)}
-    for degree in range(2, c.dimension + 1):
-        space = untwisted_space(c, degree)
-        coord_span = _RowSpace()
-        basis = []
-        for word in _cup_words(basis_cochains, degree):
-            cochain = word[0]
-            for factor in word[1:]:
-                cochain = cup(cochain, factor)
-            cls = space.class_of(cochain)
-            if not cls.is_zero() and coord_span.add(cls.coordinates):
-                basis.append(cls)
-        out[degree] = (len(basis), basis)
-    return out
-
-
-def _cup_words(generators, length):
-    """All sorted words of the given length over the generators (cup is
-    graded-commutative at class level, so sorted words span the products)."""
-    for combo in itertools.combinations_with_replacement(range(len(generators)), length):
-        yield tuple(generators[i] for i in combo)
+    return _ClassQuery(L).image()
 
 
 def image_dims(L: LocalSystem) -> dict:
@@ -237,37 +316,7 @@ def surjectivity_check(L: LocalSystem) -> tuple:
     combination is re-evaluated against the canonical bases before being
     returned.
     """
-    _require_rank1_flat(L)
-    c = L.base
-    if c != torus_model() or set(c.named_loops) != {"a", "b"}:
-        raise UnsupportedBaseError("surjectivity is decided on the torus model only")
-    classes = log_classes(L)
-    primes = sorted(classes)
-    # row per loop, column per prime: the exponents of the prime on the loop
-    pairing = Matrix(
-        [[classes[p].evaluate_loop(c.named_loops[name]) for p in primes] for name in ("a", "b")],
-        cols=len(primes),
-    )
-    degree_one_full = pairing.rank() == 2
-
-    cycle = fundamental_cycle(c)
-    cup_pairings = {}
-    for a in range(len(primes)):
-        for b in range(a + 1, len(primes)):
-            product = cup(classes[primes[a]].to_cochain(), classes[primes[b]].to_cochain())
-            cup_pairings[(primes[a], primes[b])] = evaluate_on_chain(product, cycle)
-    degree_two_full = any(v != 0 for v in cup_pairings.values())
-
-    surjective = degree_one_full and degree_two_full
-    if not surjective:
-        return False, []
-
-    certificate = [
-        _certify_loop_dual(c, classes, "a"),
-        _certify_loop_dual(c, classes, "b"),
-        _certify_fundamental(c, classes, cup_pairings),
-    ]
-    return True, certificate
+    return _ClassQuery(L).surjectivity()
 
 
 def _certify_loop_dual(c: Complex, classes: dict, name: str) -> Certificate:
@@ -292,19 +341,17 @@ def _certify_loop_dual(c: Complex, classes: dict, name: str) -> Certificate:
     return Certificate(f"{name}_dual", 1, terms)
 
 
-def _certify_fundamental(c: Complex, classes: dict, cup_pairings: dict) -> Certificate:
+def _certify_fundamental(query: _ClassQuery, cup_pairings: dict) -> Certificate:
     """Scale one nonvanishing cup product to pair to 1 with the fundamental
     cycle, then verify it equals the fundamental cocycle's class in H^2."""
-    space = untwisted_space(c, 2)
-    target = space.class_of(fundamental_cocycle(c))
+    space = query.space(2)
+    target = space.class_of(_cocycle_dual_to(space.system, query.cycle))
     pair = next(pq for pq, v in cup_pairings.items() if v != 0)
-    p, q = pair
     coeff = 1 / cup_pairings[pair]
-    product = cup(classes[p].to_cochain(), classes[q].to_cochain())
-    achieved = space.class_of(product.scale(coeff))
+    achieved = space.class_of(query.product(pair).scale(coeff))
     if achieved != target:
         raise InputError("fundamental-class certificate failed verification")
-    return Certificate("fundamental", 2, [((p, q), coeff)])
+    return Certificate("fundamental", 2, [(pair, coeff)])
 
 
 class CharClassReport:
@@ -338,12 +385,12 @@ class CharClassReport:
 
 
 def char_class_report(L: LocalSystem, check_surjectivity: bool = False) -> CharClassReport:
-    _require_rank1_flat(L)
+    query = _ClassQuery(L)
     sign = sign_class(L)
-    logs = log_classes(L)
-    dims = image_dims(L)
+    logs = query.logs
+    dims = {degree: dim for degree, (dim, _) in query.image().items()}
     surjective = None
     certificate = None
     if check_surjectivity:
-        surjective, certificate = surjectivity_check(L)
+        surjective, certificate = query.surjectivity()
     return CharClassReport(L.base, sign, logs, dims, surjective, certificate)

@@ -37,7 +37,16 @@ from .errors import (
     NotFlatError,
     UnknownGeneratorError,
 )
-from .linalg import Matrix, _RowSpace, _coerce_rational, _subtract, kernel_basis, rref, solve
+from .linalg import (
+    Matrix,
+    _RowSpace,
+    _coerce_rational,
+    _free_column_kernel,
+    _subtract,
+    kernel_basis,
+    rref,
+    solve,
+)
 from .local_systems import (
     LocalSystem,
     _once_per_object,
@@ -575,7 +584,20 @@ def fundamental_cycle(c: Complex) -> dict:
     """The 2-cycle spanning ker of the boundary, normalized so its first
     nonzero triangle coefficient is +1.  Exists uniquely for the closed
     surface models; anything else is rejected."""
-    basis = kernel_basis(boundary_matrix(c, 2))
+    return _normalized_cycle(c, kernel_basis(boundary_matrix(c, 2)))
+
+
+def _fundamental_cycle_of(space: CohomologySpace) -> dict:
+    """``fundamental_cycle`` of the base of an untwisted H^2 space, with no
+    elimination of its own.  The rows of the boundary d_2 are the columns of
+    the untwisted coboundary d_1, the spanning list of B^2, so the space's
+    echelon form of B^2 is that of the boundary, and its free-column kernel
+    is the one ``kernel_basis`` gives, entry for entry."""
+    c = space.system.base
+    return _normalized_cycle(c, _free_column_kernel(space._image, len(c.simplices_of_dim(2))))
+
+
+def _normalized_cycle(c: Complex, basis: list) -> dict:
     if len(basis) != 1:
         raise InputError(
             "complex does not carry a unique 2-cycle", cycle_space_dimension=len(basis)
@@ -589,9 +611,14 @@ def fundamental_cycle(c: Complex) -> dict:
 def fundamental_cocycle(c: Complex) -> TwistedCochain:
     """An untwisted 2-cocycle pairing to 1 against the fundamental cycle,
     supported on a single triangle."""
-    cycle = fundamental_cycle(c)
-    first = next(t for t in c.simplices_of_dim(2) if t in cycle)
-    return TwistedCochain(trivial_system(c, 1), 2, {first: (1 / cycle[first],)})
+    return _cocycle_dual_to(trivial_system(c, 1), fundamental_cycle(c))
+
+
+def _cocycle_dual_to(system: LocalSystem, cycle: dict) -> TwistedCochain:
+    """The cocycle of ``fundamental_cocycle`` in the trivial line ``system``,
+    for the cycle already found."""
+    first = next(t for t in system.base.simplices_of_dim(2) if t in cycle)
+    return TwistedCochain(system, 2, {first: (1 / cycle[first],)})
 
 
 def evaluate_on_chain(phi: TwistedCochain, chain: Mapping) -> Fraction:

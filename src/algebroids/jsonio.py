@@ -47,8 +47,17 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(q) -> str:
+    """``numerator/denominator``.  An answer can outgrow its inputs (a
+    pulled-back holonomy is a power of one), so a part past the
+    interpreter's limit on decimal digits raises InputError."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the interpreter's limit on decimal digits
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        raise InputError(
+            f"rational with a {bits}-bit part has too many digits to print", bits=bits
+        ) from None
 
 
 def _check_version(data, what: str) -> None:

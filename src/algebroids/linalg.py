@@ -498,12 +498,19 @@ def rref(m: Matrix):
 
 def kernel_basis(m: Matrix) -> list:
     """Deterministic basis of the null space, one vector per free column."""
-    space = _RowSpace(m.entries)
+    return _free_column_kernel(_RowSpace(m.entries), m.cols)
+
+
+def _free_column_kernel(space: _RowSpace, cols: int) -> list:
+    """The null space basis of ``kernel_basis`` for a matrix whose rows span
+    ``space`` and that has ``cols`` columns, read off the echelon form: one
+    vector per free column j, with 1 at j and minus column j of the rows at
+    their pivots."""
     basis = []
-    for j in range(m.cols):
+    for j in range(cols):
         if j in space.rows:
             continue
-        v = [_ZERO] * m.cols
+        v = [_ZERO] * cols
         v[j] = _ONE
         for p, row in space.rows.items():
             x = row.get(j)

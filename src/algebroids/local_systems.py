@@ -117,6 +117,7 @@ class LocalSystem:
         self._inverse = _once_per_object(lambda m: m if m.is_identity() else m.inverse())
         self._dual = None
         self._violations = None
+        self._holonomy = None
 
     def matrix(self, i: int, j: int) -> Matrix:
         """Transport along the increasing edge (i, j), fiber j to fiber i."""
@@ -325,8 +326,12 @@ def _tree_gauge(L: LocalSystem) -> tuple:
 
 
 def holonomy(L: LocalSystem) -> Holonomy:
+    """The loop holonomies of a flat system, computed once per system and
+    kept on it, so the sign and log classes of a query share one pass."""
     _require_flat(L)
-    return Holonomy(L.base, L.rank, _tree_gauge(L)[1])
+    if L._holonomy is None:
+        L._holonomy = Holonomy(L.base, L.rank, _tree_gauge(L)[1])
+    return L._holonomy
 
 
 def holonomy_around(L: LocalSystem, path: Sequence[int]) -> Matrix:

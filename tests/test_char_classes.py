@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 from algebroids import (
     GF2,
+    InputError,
     NotClosedError,
     UnsupportedBaseError,
     UnsupportedRankError,
@@ -14,6 +17,7 @@ from algebroids import (
     cup,
     evaluate_on_chain,
     from_representation,
+    fundamental_cocycle,
     fundamental_cycle,
     image_dims,
     log_classes,
@@ -23,7 +27,12 @@ from algebroids import (
     tensor_system,
     trivial_system,
     untwisted_space,
+    validate_complex,
 )
+from algebroids import char_classes, local_systems
+from algebroids.cli import main
+from algebroids.cohomology import _cocycle_dual_to, _fundamental_cycle_of
+from algebroids.jsonio import resolve_complex_spec
 
 from conftest import (
     random_flat_system,
@@ -31,6 +40,9 @@ from conftest import (
     torus_cover_map,
     torus_swap_map,
 )
+
+# the package exports the function ``cohomology`` under the module's name
+COHOMOLOGY = importlib.import_module("algebroids.cohomology")
 
 
 def loop_pairs(cls, c):
@@ -256,3 +268,102 @@ def test_random_rank1_systems_have_consistent_reports(torus):
         assert dims[2] <= 1
         for cls in logs.values():
             assert not cls.is_zero()
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_one_query_builds_each_derived_object_once(monkeypatch, capsys):
+    # four primes: 2 and 3 span degree 1, so the image words are (2, 2),
+    # (2, 3) and (3, 3), and surjectivity pairs all six; (2, 3) is shared
+    # and certifies the fundamental class
+    logs = count_calls(monkeypatch, char_classes, "log_classes")
+    spaces = count_calls(monkeypatch, COHOMOLOGY, "cohomology")
+    kernels = count_calls(monkeypatch, COHOMOLOGY, "kernel_basis")
+    boundaries = count_calls(monkeypatch, COHOMOLOGY, "boundary_matrix")
+    cups = count_calls(monkeypatch, char_classes, "cup")
+    cochains = count_calls(monkeypatch, char_classes.EdgeClass, "to_cochain")
+    gauges = count_calls(monkeypatch, local_systems, "_tree_gauge")
+    argv = ["char-classes", "--check-surjectivity", "--json", "--complex", "builtin:torus",
+            "--rep", "a=6/5,b=-35/3"]
+    assert main(argv) == 0
+    assert '"surjective": true' in capsys.readouterr().out
+    assert len(logs) == 1
+    assert len(gauges) == 1
+    # the untwisted H^2, and no other space
+    assert [(L.rank, n) for L, n in spaces] == [(1, 2)]
+    # the one kernel is Z^2 (d_2 has no rows); the boundary d_2 is never
+    # built, since the cycle is read off the echelon form of B^2
+    assert [(m.rows, m.cols) for (m,) in kernels] == [(0, 18)]
+    assert boundaries == []
+    # each of the four classes becomes a cochain once
+    assert len(cochains) == 4
+    pairs = [(tuple(a.values.items()), tuple(b.values.items())) for a, b in cups]
+    assert len(pairs) == len(set(pairs)) == 8
+
+
+def test_the_reference_torus_is_built_once(monkeypatch, capsys):
+    char_classes._reference_torus.cache_clear()
+    builds = count_calls(monkeypatch, char_classes, "torus_model")
+    for rep in ("a=2,b=3", "a=6/5,b=-35/3"):
+        assert main(["surjectivity", "--complex", "builtin:torus", "--rep", rep]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("spec", ["builtin:torus"] + [
+    f"builtin:torus{r}x{c}" for r, c in itertools.product(range(3, 7), repeat=2) if r <= c
+])
+def test_the_cycle_read_off_h2_is_the_fundamental_cycle(spec):
+    c = resolve_complex_spec(spec)
+    space = untwisted_space(c, 2)
+    cycle = _fundamental_cycle_of(space)
+    assert list(cycle.items()) == list(fundamental_cycle(c).items())
+    assert _cocycle_dual_to(space.system, cycle) == fundamental_cocycle(c)
+
+
+def two_spheres():
+    # the boundaries of two tetrahedra sharing vertex 3: two 2-cycles
+    simplices = []
+    for vertices in ((0, 1, 2, 3), (3, 4, 5, 6)):
+        simplices += itertools.combinations(vertices, 2)
+        simplices += itertools.combinations(vertices, 3)
+    return validate_complex(7, simplices)
+
+
+@pytest.mark.parametrize("base, dimension", [
+    # a disk: a 2-chain, but no cycle
+    (validate_complex(3, [(0, 1), (0, 2), (1, 2), (0, 1, 2)]), 0),
+    (two_spheres(), 2),
+    # a graph: no triangles at all
+    (validate_complex(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), 0),
+])
+def test_a_complex_without_a_unique_cycle_is_rejected_either_way(base, dimension):
+    with pytest.raises(InputError) as direct:
+        fundamental_cycle(base)
+    with pytest.raises(InputError) as read_off:
+        _fundamental_cycle_of(untwisted_space(base, 2))
+    assert read_off.value.to_json() == direct.value.to_json()
+    assert direct.value.details == {"cycle_space_dimension": dimension}
+
+
+@pytest.mark.parametrize("argv, code", [
+    # factoring comes before the base test in a report ...
+    (["char-classes", "--check-surjectivity", "--complex", "builtin:torus4x4"], "BAD_INPUT"),
+    # ... and after it in a surjectivity query
+    (["surjectivity", "--complex", "builtin:torus4x4"], "UNSUPPORTED_BASE"),
+])
+def test_the_checks_keep_their_order(argv, code, capsys):
+    # 2^89 - 1 is a prime past the factoring bound
+    assert main(argv + ["--rep", f"a={2 ** 89 - 1},b=1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error [{code}]")

@@ -531,3 +531,18 @@ def test_a_json_number_past_the_digit_limit_fails_typed(run, tmp_path, option):
     code, _, err = run("cohomology", *argv)
     assert code == 1
     assert err.startswith(f"error [BAD_SCHEMA]: invalid JSON in {path}: ")
+
+
+def test_an_answer_past_the_digit_limit_fails_typed(run, tmp_path):
+    # circle6 wraps twice around loop a, so the pulled holonomy is a^2: an
+    # input of 3,000 digits, under the limit, gives an answer of 6,000
+    path = tmp_path / "double.json"
+    path.write_text(dump_json({
+        "source": "builtin:circle6",
+        "target": "builtin:torus",
+        "vertex_map": [0, 1, 2, 0, 1, 2],
+    }))
+    code, out, err = run("pullback", "--map", str(path), "--rep", "a=" + "7" * 3000 + ",b=1")
+    assert code == 1
+    assert out == ""
+    assert err == "error [BAD_INPUT]: rational with a 19931-bit part has too many digits to print\n"

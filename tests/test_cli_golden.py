@@ -12,6 +12,10 @@ the 3x3 torus, which reverses edge orientations).  Their hashes were
 recorded before ``holonomy`` moved onto the spanning-tree gauge pass; the
 rank-2 text rows and the trivial-holonomy row were recorded before
 ``pullback`` took its document from ``jsonio.representation_to_json``.
+The ``--json`` rows of ``char-classes --check-surjectivity`` and
+``surjectivity`` on ``a=6/5,b=-35/3`` (four primes, so six cup pairs),
+``a=-42/5,b=-42/5`` and ``a=1,b=66/7`` were recorded before one report
+started to share each class, cup product and H^2 of a query.
 
 The rank-2 and rank-3 ``chern-weil`` rows read checked-in inputs from
 ``tests/fixtures/chern_weil`` (``{fx}``): unipotent and diagonal
@@ -139,6 +143,24 @@ GOLDEN = [
      EMPTY),
     (('surjectivity', '--complex', 'builtin:torus', '--rep', 'a=2,b=4'),
      0, '90768192fd26f68ddbfbc918683de0038e92f9c18a24a976c413f5965c09402f',
+     EMPTY),
+    (('char-classes', '--complex', 'builtin:torus', '--rep', 'a=6/5,b=-35/3', '--check-surjectivity', '--json'),
+     0, '585a9e49a1ea84766a83b5b636814c33e1a974357483f54aa0d8b484cd0fd35d',
+     EMPTY),
+    (('surjectivity', '--complex', 'builtin:torus', '--rep', 'a=6/5,b=-35/3', '--json'),
+     0, 'e31224cc27eb1103af0be1f904b25f2a418bf8dbf8b6d4ad6df5a4166919de0a',
+     EMPTY),
+    (('char-classes', '--complex', 'builtin:torus', '--rep', 'a=-42/5,b=-42/5', '--check-surjectivity', '--json'),
+     0, 'fff2d6f0e461929c611ae74796cbf901fae540b1d0e8d57921adafc907897237',
+     EMPTY),
+    (('surjectivity', '--complex', 'builtin:torus', '--rep', 'a=-42/5,b=-42/5', '--json'),
+     0, '6c4ce1db1f448139109d80974f8527f30dcc62b642152af4322d0c1ea210eb02',
+     EMPTY),
+    (('char-classes', '--complex', 'builtin:torus', '--rep', 'a=1,b=66/7', '--check-surjectivity', '--json'),
+     0, 'e8ceb78b5f3e913a31806cbdf37d1fd01d2e1dcf009e74f41c2b4f6d4393f4ad',
+     EMPTY),
+    (('surjectivity', '--complex', 'builtin:torus', '--rep', 'a=1,b=66/7', '--json'),
+     0, '6c4ce1db1f448139109d80974f8527f30dcc62b642152af4322d0c1ea210eb02',
      EMPTY),
     (('surjectivity', '--complex', 'builtin:torus4x4', '--rep', 'a=2,b=3'),
      1, EMPTY,
