@@ -150,26 +150,13 @@ def trivial_algebroid(c: Complex, fiber_dim: int = 1) -> CommAlgebroid:
     return CommAlgebroid(adjoint, TwistedCochain(adjoint, 2))
 
 
-class InvariantSectionSpace:
-    """Flat sections of the k-th symmetric power of the dual adjoint: the
-    domain of the degree-k Chern-Weil map."""
-
-    def __init__(self, k: int, system: LocalSystem, basis):
-        self.k = k
-        self.system = system
-        self.basis = list(basis)
-        self.dimension = len(self.basis)
-
-    def __repr__(self):
-        return f"InvariantSectionSpace(k={self.k}, dimension={self.dimension})"
-
-
-def invariant_sections(A: CommAlgebroid, k: int) -> InvariantSectionSpace:
+def invariant_sections(A: CommAlgebroid, k: int) -> CohomologySpace:
+    """Flat sections of the k-th symmetric power of the dual adjoint, the
+    domain of the degree-k Chern-Weil map: its H^0, whose representatives
+    are the section basis."""
     if k < 0:
         raise InputError("symmetric power must be nonnegative")
-    system = A._sym_dual(k)
-    space = cohomology(system, 0)
-    return InvariantSectionSpace(k, system, space.representatives)
+    return cohomology(A._sym_dual(k), 0)
 
 
 def _word_weights(r: int, k: int) -> list:
@@ -212,7 +199,7 @@ def chern_weil_image(A: CommAlgebroid) -> dict:
     out = {}
     for k in range(1, A.base.dimension // 2 + 1):
         sections = invariant_sections(A, k)
-        out[k] = [chern_weil(A, phi, k) for phi in sections.basis]
+        out[k] = [chern_weil(A, phi, k) for phi in sections.representatives]
     return out
 
 

@@ -43,7 +43,7 @@ from .cohomology import (
     evaluate_on_chain,
     untwisted_space,
 )
-from .complexes import Complex, loop_pairing, loop_sums, non_tree_edges, torus_model
+from .complexes import Complex, _require_edge_path, loop_pairing, loop_sums, torus_model
 from .errors import (
     InputError,
     NotClosedError,
@@ -67,11 +67,13 @@ class EdgeClass:
         self.values = {tuple(e): v for e, v in values.items() if v}
 
     def coordinates(self) -> tuple:
-        return tuple(self.values.get(e, self.zero) for e in non_tree_edges(self.base))
+        return tuple(self.values.get(e, self.zero) for e in self.base.tree.non_tree_edges)
 
     def evaluate_loop(self, path) -> object:
-        """Pair against a closed vertex path; gauge-invariant because the
-        representative vanishes on the spanning tree."""
+        """Pair against a closed vertex path, each step of which stays put or
+        follows an edge; gauge-invariant because the representative vanishes
+        on the spanning tree."""
+        _require_edge_path(self.base, path)
         return loop_pairing(self.values, path, self.zero)
 
     def is_zero(self) -> bool:
@@ -127,7 +129,7 @@ def sign_class(L: LocalSystem) -> EdgeClass:
     negative holonomy.  Zero exactly when every loop holonomy is positive."""
     _require_rank1_flat(L)
     bits = {
-        e: GF2(1) for e, h in holonomy(L).generator_images.items() if h.entries[0][0] < 0
+        e: GF2(1) for e, h in holonomy(L).items() if h.entries[0][0] < 0
     }
     return EdgeClass(L.base, bits, GF2(0))
 
@@ -144,7 +146,7 @@ def log_classes(L: LocalSystem) -> dict:
     factored, each within ``MAX_FACTOR_BITS``.  So a loop whose holonomy is
     a product of large generators is accepted when each generator is."""
     _require_rank1_flat(L)
-    loops = {e: h.entries[0][0] for e, h in holonomy(L).generator_images.items()}
+    loops = {e: h.entries[0][0] for e, h in holonomy(L).items()}
     values = set(loops.values())
     base = _coprime_base(
         sorted({abs(h.numerator) for h in values} | {h.denominator for h in values})
@@ -326,7 +328,7 @@ def _certify_loop_dual(c: Complex, classes: dict, name: str) -> Certificate:
     target = canonical_edge_class(c, dict(c.loop_cocycles[name]))
     primes = sorted(classes)
     columns = [classes[p].coordinates() for p in primes]
-    height = len(non_tree_edges(c))
+    height = len(c.tree.non_tree_edges)
     m = Matrix(list(zip(*columns)) if columns else [()] * height, cols=len(columns))
     solution = solve(m, target.coordinates())
     if solution is None:
@@ -367,7 +369,7 @@ class CharClassReport:
         self.certificate = certificate
 
     def to_json(self) -> dict:
-        edges = ["edge_{}_{}".format(*e) for e in non_tree_edges(self.base)]
+        edges = ["edge_{}_{}".format(*e) for e in self.base.tree.non_tree_edges]
         data = {
             "schema_version": "1",
             "generators": edges,

@@ -2,9 +2,9 @@
 
 Subcommands load a complex (builtin name, file path, or algebroid bundle),
 run one computation, and print either a short text summary or a
-deterministic JSON report.  Validation failures and schema problems exit
-with status 1 and a one-line error on stderr; ALGEBROIDS_VERBOSE=1 prints
-that error as a JSON object instead.
+deterministic JSON report.  Validation failures, schema problems and
+exhausted memory exit with status 1 and a one-line error on stderr;
+ALGEBROIDS_VERBOSE=1 prints that error as a JSON object instead.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .char_classes import char_class_report, surjectivity_check
 # cohomology module's namespace through ``cli.cohomology``.
 from .cohomology import TwistedCochain, cohomology, cohomology_dims, fundamental_cocycle  # noqa: F401
 from .complexes import Complex
-from .errors import AlgebroidError, DegreeError, InputError, SchemaError
+from .errors import AlgebroidError, DegreeError, InputError, OutOfMemoryError, SchemaError
 from .jsonio import (
     SCHEMA_VERSION,
     algebroid_from_json,
@@ -165,7 +165,7 @@ def cmd_chern_weil(args) -> int:
     lines = []
     for k in range(args.min_k, args.max_k + 1):
         sections = invariant_sections(A, k)
-        classes = [chern_weil(A, phi, k) for phi in sections.basis]
+        classes = [chern_weil(A, phi, k) for phi in sections.representatives]
         nonzero = [cls for cls in classes if not cls.is_zero()]
         report["powers"][str(k)] = {
             "invariant_sections": sections.dimension,
@@ -331,12 +331,16 @@ def main(argv=None) -> int:
             raise InputError("validate needs --complex or --algebroid")
         return args.func(args)
     except AlgebroidError as exc:
-        payload = exc.to_json()
-        if _verbose():
-            print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        else:
-            print(f"error [{payload['code']}]: {payload['message']}", file=sys.stderr)
-        return 1
+        error = exc
+    except MemoryError:
+        # reported after the except block has released the failed frames
+        error = OutOfMemoryError("ran out of memory; the input is too large")
+    payload = error.to_json()
+    if _verbose():
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    else:
+        print(f"error [{payload['code']}]: {payload['message']}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import Complex, SimplicialMap, loop_pairing
+from .complexes import Complex, SimplicialMap, _require_edge_path, loop_pairing
 from .errors import (
     BaseMismatchError,
     DegreeError,
@@ -49,7 +49,6 @@ from .linalg import (
 )
 from .local_systems import (
     LocalSystem,
-    _once_per_object,
     _require_flat,
     _tree_gauge,
     dual,
@@ -191,15 +190,13 @@ def zero_cochain(system: LocalSystem, degree: int) -> TwistedCochain:
 def _transport_action():
     """``T.apply(v)`` memoised by ``(id(T), v)``, for the length of one
     call: the memo must not outlive the transports it is keyed on.  An
-    identity transport returns v itself, decided once per object.  In tree
-    gauge most transports are one shared identity and a flat section is
-    constant, so a pass over every edge applies each distinct transport to
-    about one value."""
-    is_identity = _once_per_object(Matrix.is_identity)
+    identity transport returns v itself.  In tree gauge most transports are
+    one shared identity and a flat section is constant, so a pass over every
+    edge applies each distinct transport to about one value."""
     memo = {}
 
     def act(t: Matrix, v: tuple) -> tuple:
-        if is_identity(t):
+        if t.is_identity():
             return v
         key = (id(t), v)
         out = memo.get(key)
@@ -393,8 +390,12 @@ class CohomologyClass:
         return all(x == 0 for x in self.coordinates)
 
     def __add__(self, other):
+        if not isinstance(other, CohomologyClass):
+            return NotImplemented
         if self.degree != other.degree:
             raise DegreeError("cannot add classes of different degrees")
+        if len(self.coordinates) != len(other.coordinates):
+            raise InputError("cannot add classes of spaces of different dimensions")
         return CohomologyClass(
             self.degree, tuple(a + b for a, b in zip(self.coordinates, other.coordinates))
         )
@@ -623,20 +624,25 @@ def _cocycle_dual_to(system: LocalSystem, cycle: dict) -> TwistedCochain:
 
 def evaluate_on_chain(phi: TwistedCochain, chain: Mapping) -> Fraction:
     """Pair an untwisted rank-1 cochain against a chain given as a
-    simplex -> coefficient map."""
+    simplex -> coefficient map of ``phi.degree``-simplices of the base."""
     if phi.system.rank != 1:
         raise InputError("chain evaluation needs a rank-1 cochain")
     total = Fraction(0)
     for simplex, coeff in chain.items():
-        total += _coerce_rational(coeff) * phi.value(simplex)[0]
+        value = phi.values.get(_normalize_simplex(simplex))
+        if value is None:
+            raise InputError(f"{simplex} is not a {phi.degree}-simplex of the base")
+        total += _coerce_rational(coeff) * value[0]
     return total
 
 
 def evaluate_on_loop(phi: TwistedCochain, path: Sequence[int]) -> Fraction:
     """Sum an untwisted rank-1 1-cochain along a vertex path, with signs for
-    traversal against the edge orientation (``loop_pairing`` on its values)."""
+    traversal against the edge orientation (``loop_pairing`` on its values).
+    Each step must stay put or follow an edge."""
     if phi.degree != 1 or phi.system.rank != 1:
         raise InputError("loop evaluation needs a rank-1 1-cochain")
+    _require_edge_path(phi.system.base, path)
     return loop_pairing({e: v[0] for e, v in phi.values.items()}, path)
 
 

@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 
 from .errors import (
     DisconnectedComplexError,
+    InputError,
     MapMismatchError,
     MapValidationError,
     MissingFaceError,
@@ -178,13 +179,28 @@ def validate_complex(vertex_count, simplices, named_loops=None,
         path = tuple(path)
         if len(path) < 2 or path[0] != path[-1]:
             raise SchemaError(f"named loop {loop_name} is not a closed path")
-        for u, w in zip(path, path[1:]):
-            if u == w or not c.has_simplex((min(u, w), max(u, w))):
-                raise SchemaError(
-                    f"named loop {loop_name} uses a missing edge ({u}, {w})"
-                )
+        step = _missing_step(c, path, stays=False)
+        if step is not None:
+            raise SchemaError(f"named loop {loop_name} uses a missing edge {step}")
         c.named_loops[loop_name] = path
     return c
+
+
+def _missing_step(c: Complex, path, stays: bool):
+    """The first step (u, w) of a vertex path that is not an edge of c, or
+    None.  A step that stays at its vertex (u == w) passes when ``stays``."""
+    for step in zip(path, path[1:]):
+        if not (stays and step[0] == step[1]) and not c.has_simplex(sorted(step)):
+            return step
+    return None
+
+
+def _require_edge_path(c: Complex, path) -> None:
+    """Raise InputError naming the first step (u, w), u != w, of a vertex
+    path that is not an edge of c."""
+    step = _missing_step(c, path, stays=True)
+    if step is not None:
+        raise InputError(f"path step {step} is not an edge of the base", step=step)
 
 
 def circle_model(n: int = 3) -> Complex:
@@ -285,27 +301,18 @@ class SpanningTree:
         self.non_tree_edges = non_tree_edges
 
 
-def spanning_tree(c: Complex) -> SpanningTree:
-    """The breadth-first tree from vertex 0 that building ``c`` found."""
-    return c.tree
-
-
-def non_tree_edges(c: Complex) -> tuple:
-    return c.tree.non_tree_edges
-
-
 def loop_sums(c: Complex, cochain: Mapping) -> dict:
     """Per non-tree edge (i, j), in edge order, the sum of an edge cochain w
     (missing edges are zero) around the based loop (i, j) closes: pot[i] +
     w(i, j) - pot[j], where pot[v] sums w along the tree from the root."""
-    tree = spanning_tree(c)
+    tree = c.tree
     zero = Fraction(0)
     pot = {tree.root: zero}
     for v in tree.order[1:]:
         u = tree.parent[v]
         w = cochain.get((u, v), zero) if u < v else -cochain.get((v, u), zero)
         pot[v] = pot[u] + w
-    return {(i, j): pot[i] + cochain.get((i, j), zero) - pot[j] for i, j in non_tree_edges(c)}
+    return {(i, j): pot[i] + cochain.get((i, j), zero) - pot[j] for i, j in tree.non_tree_edges}
 
 
 class SimplicialMap:

@@ -113,3 +113,9 @@ class BaseMismatchError(AlgebroidError):
 
 class DegreeError(AlgebroidError):
     code = "BAD_DEGREE"
+
+
+class OutOfMemoryError(AlgebroidError):
+    """A computation that exhausted memory, reported as an error line."""
+
+    code = "OUT_OF_MEMORY"

@@ -237,7 +237,7 @@ def _coerce_rational(x):
 class Matrix:
     """Immutable dense matrix of rationals."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_identity")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         coerced = tuple(tuple(_coerce_rational(x) for x in row) for row in entries)
@@ -255,6 +255,7 @@ class Matrix:
         self.rows = nrows
         self.cols = ncols
         self.entries = coerced
+        self._identity = None
 
     @classmethod
     def _trusted(cls, entries: tuple, cols: int) -> "Matrix":
@@ -266,6 +267,7 @@ class Matrix:
         m.rows = len(entries)
         m.cols = cols
         m.entries = entries
+        m._identity = None
         return m
 
     @classmethod
@@ -391,13 +393,15 @@ class Matrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.entries)
-            for j, x in enumerate(row)
-        )
+        """Whether the matrix is the identity.  The entries are tuples, so
+        the answer is decided once per matrix and kept on it."""
+        if self._identity is None:
+            self._identity = self.rows == self.cols and all(
+                x == (1 if i == j else 0)
+                for i, row in enumerate(self.entries)
+                for j, x in enumerate(row)
+            )
+        return self._identity
 
     def __eq__(self, other):
         return (

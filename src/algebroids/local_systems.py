@@ -16,7 +16,9 @@ gauge: tree edges carry the identity, and each non-tree edge carries the
 holonomy of the loop it closes.  ``_tree_gauge`` reads the frames and every
 loop holonomy off one pass down the tree, for ``holonomy`` and H^0, and
 ``from_representation`` reads the windings of those loops off
-``complexes.loop_sums``.
+``complexes.loop_sums``.  The holonomy of a system is the plain mapping
+{non-tree edge: Matrix} of those loops, which ``from_representation`` takes
+back as explicit edge images.
 
 A system keeps its dual once computed.  Nothing points back from a derived
 system to its source, so no reference cycle forms.
@@ -36,7 +38,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import Complex, SimplicialMap, loop_sums, non_tree_edges, spanning_tree
+from .complexes import Complex, SimplicialMap, _require_edge_path, loop_sums
 from .errors import (
     BaseMismatchError,
     InputError,
@@ -81,19 +83,13 @@ def _once_per_object(fn):
     return call
 
 
-def _product():
-    """``times(a, b) == a * b``, where a factor that is the identity (decided
-    once per object) costs no product."""
-    is_identity = _once_per_object(Matrix.is_identity)
-
-    def times(a, b):
-        if is_identity(a):
-            return b
-        if is_identity(b):
-            return a
-        return a * b
-
-    return times
+def _times(a: Matrix, b: Matrix) -> Matrix:
+    """``a * b``, where a factor that is the identity costs no product."""
+    if a.is_identity():
+        return b
+    if b.is_identity():
+        return a
+    return a * b
 
 
 def _require_invertible(m: Matrix, label) -> None:
@@ -170,8 +166,7 @@ def check_flat(L: LocalSystem) -> list:
     I * b == c is exactly b == c.  The list is computed once per system and
     kept on it."""
     if L._violations is None:
-        times = _product()
-        composes = _once_per_object(lambda a, b, c: times(a, b) == c)
+        composes = _once_per_object(lambda a, b, c: _times(a, b) == c)
         L._violations = tuple(
             (i, j, k)
             for i, j, k in L.base.triangles
@@ -199,11 +194,9 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
     override.  Tree edges carry the identity.  The triangle relations are
     verified at the end and violations are reported, never repaired.
 
-    A Holonomy object is accepted in place of the mapping, making the
-    holonomy round trip a one-liner.
+    The holonomy of a flat system is such a mapping of explicit edges, so
+    ``from_representation(c, holonomy(L))`` puts L in tree gauge.
     """
-    if isinstance(images, Holonomy):
-        images = images.generator_images
     named = {}
     explicit = {}
     for key, value in images.items():
@@ -235,7 +228,7 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
     for key, m in matrices.items():
         _require_invertible(m, key)
 
-    tree = spanning_tree(c)
+    tree = c.tree
     for edge in explicit:
         if edge in tree.tree_edges:
             raise UnknownGeneratorError(
@@ -293,53 +286,44 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
     return L
 
 
-class Holonomy:
-    """Holonomy of a flat system: one matrix per non-tree edge, each the
-    transport around the based loop that edge closes."""
-
-    def __init__(self, base, rank, generator_images):
-        self.base = base
-        self.rank = rank
-        self.generator_images = generator_images
-
-    def __repr__(self):
-        return f"Holonomy({len(self.generator_images)} generators, rank={self.rank})"
-
-
 def _tree_gauge(L: LocalSystem) -> tuple:
     """One pass down the spanning tree: ``(down, loops)``.  ``down[v]``
     carries the fiber at the root to the fiber at v along the tree, and
     ``loops[(i, j)]`` is the holonomy down[i]^-1 T(i, j) down[j] of the
     based loop the non-tree edge (i, j) closes.  A product with an identity
     factor is skipped, so a system in tree gauge costs no product at all."""
-    tree = spanning_tree(L.base)
-    times = _product()
+    tree = L.base.tree
     ident = Matrix.identity(L.rank)
     down = {tree.root: ident}
     up = {tree.root: ident}  # up[v] = down[v]^-1
     for v in tree.order[1:]:
         u = tree.parent[v]
-        down[v] = times(L.step(v, u), down[u])
-        up[v] = times(up[u], L.step(u, v))
-    edges = non_tree_edges(L.base)
-    return down, {(i, j): times(times(up[i], L.matrix(i, j)), down[j]) for i, j in edges}
+        down[v] = _times(L.step(v, u), down[u])
+        up[v] = _times(up[u], L.step(u, v))
+    return down, {
+        (i, j): _times(_times(up[i], L.matrix(i, j)), down[j]) for i, j in tree.non_tree_edges
+    }
 
 
-def holonomy(L: LocalSystem) -> Holonomy:
-    """The loop holonomies of a flat system, computed once per system and
-    kept on it, so the sign and log classes of a query share one pass."""
+def holonomy(L: LocalSystem) -> dict:
+    """The holonomy representation of a flat system: {non-tree edge: Matrix},
+    in edge order, each the transport around the based loop that edge
+    closes.  Computed once per system and kept on it, so the sign and log
+    classes of a query share one pass; callers must not mutate it."""
     _require_flat(L)
     if L._holonomy is None:
-        L._holonomy = Holonomy(L.base, L.rank, _tree_gauge(L)[1])
+        L._holonomy = _tree_gauge(L)[1]
     return L._holonomy
 
 
 def holonomy_around(L: LocalSystem, path: Sequence[int]) -> Matrix:
     """Transport around an arbitrary closed vertex path: the product of its
-    step matrices, left to right."""
+    step matrices, left to right.  Each step must stay put or follow an
+    edge."""
     path = tuple(path)
     if len(path) < 2 or path[0] != path[-1]:
         raise InputError("holonomy needs a closed path")
+    _require_edge_path(L.base, path)
     out = Matrix.identity(L.rank)
     for u, w in zip(path, path[1:]):
         out = out * L.step(u, w)
@@ -456,4 +440,4 @@ def iso_rank1(L1: LocalSystem, L2: LocalSystem) -> bool:
         raise UnsupportedRankError("isomorphism testing is limited to rank 1")
     if L1.base != L2.base:
         raise BaseMismatchError("systems live over different bases")
-    return holonomy(L1).generator_images == holonomy(L2).generator_images
+    return holonomy(L1) == holonomy(L2)

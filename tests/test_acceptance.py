@@ -32,7 +32,6 @@ from algebroids import (
     log_classes,
     make_algebroid,
     named_loop_cocycle,
-    non_tree_edges,
     pullback_algebroid,
     pullback_cochain,
     pullback_system,
@@ -102,7 +101,7 @@ def test_criterion_2_certified_surjectivity(capsys, torus):
         for name in ("a", "b"):
             cert = by_target[f"{name}_dual"]
             target = canonical_edge_class(torus, dict(torus.loop_cocycles[name]))
-            n = len(non_tree_edges(torus))
+            n = len(torus.tree.non_tree_edges)
             combo = [Fraction(0)] * n
             for (p,), coeff in cert.terms:
                 for i, x in enumerate(coords[p]):
@@ -225,10 +224,10 @@ def test_criterion_5_contiguity_invariance(capsys, torus, circle6, disk):
                 sg = invariant_sections(Ag, k)
                 assert sf.dimension == sg.dimension
                 classes_f = sorted(
-                    chern_weil(Af, phi, k).coordinates for phi in sf.basis
+                    chern_weil(Af, phi, k).coordinates for phi in sf.representatives
                 )
                 classes_g = sorted(
-                    chern_weil(Ag, phi, k).coordinates for phi in sg.basis
+                    chern_weil(Ag, phi, k).coordinates for phi in sg.representatives
                 )
                 assert classes_f == classes_g
             checked += 1
@@ -253,7 +252,7 @@ def test_criterion_6_splitting_independence(capsys, torus):
             eta = random_cochain(rng, L, 1)
             B = change_splitting(A, eta)
             for k in (1, 2):
-                basis = invariant_sections(A, k).basis
+                basis = invariant_sections(A, k).representatives
                 for phi in basis:
                     assert chern_weil(A, phi, k) == chern_weil(B, phi, k)
             compared += 1

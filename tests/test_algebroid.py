@@ -196,7 +196,7 @@ def test_splitting_independence(torus):
         assert B.omega == A.omega + coboundary(eta)
         for k in (1, 2):
             sections = invariant_sections(A, k)
-            for phi in sections.basis:
+            for phi in sections.representatives:
                 assert chern_weil(A, phi, k) == chern_weil(B, phi, k)
 
 
@@ -383,7 +383,7 @@ def test_chern_weil_in_the_fiber_equals_the_dual_tensor_power_pairing(base, rank
     for omega in (omega, omega + coboundary(random_cochain(rng, L, 1))):
         A = make_algebroid(L, omega)
         for k, P in enumerate(powers):
-            for phi in invariant_sections(A, k).basis:
+            for phi in invariant_sections(A, k).representatives:
                 cls = chern_weil(A, phi, k)
                 assert cls == _reference_chern_weil(A, phi, k, P)
                 compared += 1

@@ -49,6 +49,15 @@ def loop_pairs(cls, c):
     return {n: cls.evaluate_loop(c.named_loops[n]) for n in sorted(c.named_loops)}
 
 
+def test_edge_class_rejects_a_step_that_is_not_an_edge(torus):
+    cls = log_classes(from_representation(torus, {"a": 2, "b": 3}))[2]
+    assert cls.evaluate_loop((0, 0, 1, 2, 0)) == 1
+    for path, step in (((0, 7, 2, 0), (0, 7)), ((0, 5, 0), (0, 5))):
+        with pytest.raises(InputError) as info:
+            cls.evaluate_loop(path)
+        assert info.value.details == {"step": step}
+
+
 def test_canonical_edge_class_kills_coboundaries(torus):
     potential = {v: Fraction(v * v, 3) for v in range(9)}
     assignment = {(i, j): potential[j] - potential[i] for i, j in torus.edges}

@@ -427,6 +427,27 @@ def test_huge_vertex_count_fails_typed_in_bounded_memory(tmp_path):
     }
 
 
+def test_running_out_of_memory_fails_typed():
+    """The dense coboundary of the 100x100 torus does not fit in a 1 GiB
+    address space; the MemoryError that escapes gets a typed error line,
+    not a traceback."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(algebroids.__file__).resolve().parents[1]))
+    env.pop("ALGEBROIDS_VERBOSE", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroids.cli", "cohomology",
+         "--complex", "builtin:torus100x100", "--rep", "a=1,b=1"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("error [OUT_OF_MEMORY]: ")
+
+
 def _cli_process(*argv):
     """Run the command line in a child process that is killed after 10 s."""
     env = dict(os.environ, PYTHONPATH=str(Path(algebroids.__file__).resolve().parents[1]))

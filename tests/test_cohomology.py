@@ -485,6 +485,33 @@ def test_evaluate_on_loop_matches_edge_sum(torus):
     assert evaluate_on_loop(phi, (2, 1, 0)) == -2 - 1
 
 
+def test_evaluate_on_loop_rejects_a_step_that_is_not_an_edge(torus):
+    """Summing only the steps that are edges would give 2/3 and 0 here."""
+    alpha = named_loop_cocycle(torus, "a")
+    for path, step in (((0, 7, 2, 0), (0, 7)), ((0, 5, 0), (0, 5))):
+        with pytest.raises(InputError) as info:
+            evaluate_on_loop(alpha, path)
+        assert info.value.details == {"step": step}
+
+
+def test_evaluate_on_chain_rejects_a_simplex_of_the_wrong_degree(torus):
+    mu = fundamental_cocycle(torus)
+    with pytest.raises(InputError, match=r"\(0, 1\) is not a 2-simplex"):
+        evaluate_on_chain(mu, {(0, 1): 1})
+    with pytest.raises(InputError):
+        evaluate_on_chain(mu, {(0, 5, 7): 1})
+
+
+def test_classes_add_only_classes_of_one_space():
+    a, b = CohomologyClass(2, (1, 2)), CohomologyClass(2, (5,))
+    with pytest.raises(InputError):
+        a + b
+    assert a.__add__(3) is NotImplemented
+    with pytest.raises(TypeError):
+        a + 3
+    assert a + CohomologyClass(2, (5, 0)) == CohomologyClass(2, (6, 2))
+
+
 def _h0_images(kind, names, rank):
     """Commuting generator images of one kind: trivial, unipotent, diagonal
     with some eigenvalues 1, or generic diagonal (no fixed vectors)."""

@@ -19,9 +19,7 @@ from algebroids import (
     identity_map,
     loop_pairing,
     loop_sums,
-    non_tree_edges,
     simplicial_map,
-    spanning_tree,
     torus_grid,
     torus_model,
     validate_complex,
@@ -68,6 +66,14 @@ def test_disconnection_names_the_first_unreached_vertex():
     assert info.value.details == {"vertex": 6}
 
 
+def test_a_named_loop_off_the_edges_is_a_schema_error():
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    for path, text in (((0, 1, 3, 0), "(1, 3)"), ((0, 1, 1, 2, 0), "(1, 1)")):
+        with pytest.raises(SchemaError) as info:
+            validate_complex(4, edges, named_loops={"a": path})
+        assert info.value.message == f"named loop a uses a missing edge {text}"
+
+
 def test_circle_model_shape():
     c = circle_model(5)
     assert c.counts() == (5, 5)
@@ -93,12 +99,12 @@ def test_torus_grid_rejects_small_grids():
 
 
 def test_spanning_tree_of_torus_is_frozen(torus):
-    tree = spanning_tree(torus)
+    tree = torus.tree
     assert tree.root == 0
     assert tree.tree_edges == frozenset(
         {(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (0, 8), (1, 5), (1, 7)}
     )
-    assert len(non_tree_edges(torus)) == 19
+    assert len(torus.tree.non_tree_edges) == 19
     # the BFS reaches 5 through 1, and the root is its own parent
     assert (tree.parent[5], tree.parent[1]) == (1, 0)
     assert tree.parent[0] == 0
@@ -164,8 +170,8 @@ GRIDS = [(r, c) for r in range(3, 9) for c in range(3, 9)]
 )
 def test_the_stored_tree_is_the_breadth_first_reference(build):
     c = build()
-    tree = spanning_tree(c)
-    assert (tree.parent, tree.order, tree.tree_edges, non_tree_edges(c)) == reference_tree(c)
+    tree = c.tree
+    assert (tree.parent, tree.order, tree.tree_edges, c.tree.non_tree_edges) == reference_tree(c)
     assert tree.root == 0
 
 
@@ -208,12 +214,12 @@ def test_loop_sums_equal_the_pairing_along_each_tree_loop(model):
     """One potential pass gives, on every non-tree edge, the sum along the
     loop it closes, for cochains that need not be closed, sparse or not."""
     c = model()
-    tree = spanning_tree(c)
+    tree = c.tree
     rng = random.Random(41)
     for density in (1.0, 0.3, 0.0):
         cochain = {e: rand_fraction(rng) for e in c.edges if rng.random() < density}
         sums = loop_sums(c, cochain)
-        assert list(sums) == list(non_tree_edges(c))
+        assert list(sums) == list(c.tree.non_tree_edges)
         for (i, j), total in sums.items():
             loop = tree_loop(tree, i, j)
             assert loop[0] == loop[-1] == tree.root

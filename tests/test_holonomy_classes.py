@@ -21,7 +21,6 @@ from algebroids import (
     from_representation,
     holonomy_around,
     log_classes,
-    non_tree_edges,
     sign_class,
     surjectivity_check,
     tensor_system,
@@ -115,7 +114,7 @@ def test_classes_add_under_tensor_products(name, data):
     M = data.draw(gauged_systems(base))
     T = tensor_system(L, M)
     logs = [log_classes(S) for S in (L, M, T)]
-    zero = (Fraction(0),) * len(non_tree_edges(base))
+    zero = (Fraction(0),) * len(base.tree.non_tree_edges)
 
     def coords(classes, p):
         return classes[p].coordinates() if p in classes else zero

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from algebroids import (
-    Holonomy,
     InputError,
     LocalSystem,
     Matrix,
@@ -26,7 +25,6 @@ from algebroids import (
     iso_rank1,
     pullback_system,
     simplicial_map,
-    spanning_tree,
     sym_power,
     tensor_power,
     tensor_system,
@@ -61,7 +59,7 @@ def test_torus_counterexample_transports(torus):
     L = from_representation(torus, {"a": 2, "b": 1})
     assert is_flat(L)
     # tree edges carry the identity, generator edges carry the images
-    for edge in spanning_tree(torus).tree_edges:
+    for edge in torus.tree.tree_edges:
         assert L.matrix(*edge).is_identity()
     assert scalar(L, 1, 2) == 2
     assert scalar(L, 3, 6) == 1
@@ -181,7 +179,7 @@ def test_holonomy_round_trip(torus):
     rng = random.Random(11)
     L = random_flat_system(rng, torus, rank=1, gauged=False)
     h = holonomy(L)
-    assert isinstance(h, Holonomy)
+    assert isinstance(h, dict)
     back = from_representation(torus, h)
     assert back == L
     assert iso_rank1(back, L)
@@ -190,10 +188,10 @@ def test_holonomy_round_trip(torus):
 def test_holonomy_keys_are_non_tree_edges(torus):
     L = from_representation(torus, {"a": 2, "b": 1})
     h = holonomy(L)
-    assert set(h.generator_images) == set(
-        e for e in torus.edges if e not in spanning_tree(torus).tree_edges
+    assert set(h) == set(
+        e for e in torus.edges if e not in torus.tree.tree_edges
     )
-    assert h.generator_images[(1, 2)] == Matrix([[2]])
+    assert h[(1, 2)] == Matrix([[2]])
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -203,15 +201,15 @@ def test_holonomy_equals_the_product_around_each_tree_loop(model, rank):
     of the step matrices around the loop it closes.  The systems are gauged,
     so no frame is the identity and every loop needs real products.  Rank-1
     gauges drawn from a few small scalars often make a partial product the
-    identity, which is what exposes an identity memo keyed on a product that
-    dies before the memo does."""
+    identity, which exercises the identity shortcut on short-lived
+    products."""
     c = {"torus": torus_grid(3, 3), "torus4x4": torus_grid(4, 4),
          "circle5": circle_model(5)}[model]
-    tree = spanning_tree(c)
+    tree = c.tree
     rng = random.Random(100 * rank + len(model))
     for _ in range(12):
         L = random_flat_system(rng, c, rank=rank)
-        images = holonomy(L).generator_images
+        images = holonomy(L)
         assert list(images) == [e for e in c.edges if e not in tree.tree_edges]
         for (i, j), h in images.items():
             assert h == holonomy_around(L, tree_loop(tree, i, j))
@@ -219,8 +217,19 @@ def test_holonomy_equals_the_product_around_each_tree_loop(model, rank):
 
 def test_holonomy_around_requires_closed_path(torus):
     L = trivial_system(torus)
-    with pytest.raises(Exception):
+    with pytest.raises(InputError):
         holonomy_around(L, (0, 1, 2))
+
+
+def test_holonomy_around_rejects_a_step_that_is_not_an_edge(torus):
+    """(0, 5) and (0, 7) are not edges of the 3x3 torus; a step that stays
+    at its vertex is still allowed."""
+    L = from_representation(torus, {"a": 2, "b": 3})
+    for path, step in (((0, 5, 0), (0, 5)), ((0, 7, 2, 0), (0, 7))):
+        with pytest.raises(InputError) as info:
+            holonomy_around(L, path)
+        assert info.value.details == {"step": step}
+    assert holonomy_around(L, (0, 0, 1, 1, 2, 0)) == Matrix([[2]])
 
 
 def test_gauge_transform_round_trip(torus):
@@ -441,7 +450,7 @@ def test_identity_aware_flatness_law_matches_the_product_law(model, rank):
 
     c = {"torus": torus_grid(3, 3), "torus4x4": torus_grid(4, 4)}[model]
     rng = random.Random(f"identity-law:{model}:{rank}")
-    tree = spanning_tree(c)
+    tree = c.tree
     identity_factor_violated = False
     for trial in range(6):
         a, b = commuting_pair(rng, rank)
