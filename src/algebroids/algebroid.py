@@ -25,7 +25,9 @@ An algebroid builds each derived object of a Chern-Weil computation once per
 symmetric power k: the symmetric dual Sym^k(adjoint*), the cup power
 omega^k and the untwisted H^2k.  ``invariant_sections`` and ``chern_weil``
 share them, so a query over several sections and powers dualizes the
-adjoint once and no other system.
+adjoint once and no other system.  A power k whose H^2k is the zero space
+(the base has no 2k-simplices) builds no cup power: its classes are zero
+once their sections are checked.
 """
 
 from __future__ import annotations
@@ -177,7 +179,9 @@ def _word_weights(r: int, k: int) -> list:
 def chern_weil(A: CommAlgebroid, phi: TwistedCochain, k: int) -> CohomologyClass:
     """The class (1/k!) < phi, omega cup ... cup omega > in H^{2k} with
     rational coefficients.  phi must be a flat section of the k-th symmetric
-    dual; k = 0 returns the class of the constant phi itself."""
+    dual; k = 0 returns the class of the constant phi itself.  A base with
+    no 2k-simplices has H^{2k} = 0: phi is checked all the same, and the
+    class in the zero space is returned without building omega^k."""
     if k < 0:
         raise InputError("symmetric power must be nonnegative")
     if phi.degree != 0 or phi.system != A._sym_dual(k):
@@ -186,6 +190,8 @@ def chern_weil(A: CommAlgebroid, phi: TwistedCochain, k: int) -> CohomologyClass
         )
     if not is_flat_section(phi):
         raise NotInvariantError("section is not invariant under the adjoint transport")
+    if not A.base.simplices_of_dim(2 * k):
+        return CohomologyClass(2 * k, ())
     words = _word_weights(A.adjoint.rank, k)
     weighted = {v: tuple(x[m] * w for m, w in words) for v, x in phi.values.items()}
     paired = _pair_pointwise(weighted, A._cup_power(k))

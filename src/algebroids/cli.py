@@ -35,7 +35,7 @@ from .jsonio import (
     representation_to_json,
     resolve_complex_spec,
 )
-from .local_systems import LocalSystem, from_representation, holonomy, pullback_system
+from .local_systems import LocalSystem, _sym_rank, from_representation, holonomy, pullback_system
 
 
 def _verbose() -> bool:
@@ -157,10 +157,19 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_chern_weil(args) -> int:
+    if args.min_k > args.max_k:
+        raise InputError(
+            f"--min-k {args.min_k} is larger than --max-k {args.max_k}",
+            min_k=args.min_k,
+            max_k=args.max_k,
+        )
     c = resolve_complex_spec(args.complex)
     L = _load_system(args, c)
     omega = _load_omega(args, L)
     A = make_algebroid(L, omega)
+    if args.max_k > 1:
+        # the last power is the largest: refuse it before building any other
+        _sym_rank(L.rank, args.max_k)
     report = {"schema_version": SCHEMA_VERSION, "powers": {}}
     lines = []
     for k in range(args.min_k, args.max_k + 1):

@@ -17,9 +17,11 @@ Each space keeps the echelon form of its coboundaries, so the coordinates
 of a class cost one reduction and a solve as small as the space.  A section
 is tested for flatness edge by edge, T(i, j) phi(j) == phi(i), and both that
 test and the coboundary apply each distinct transport object to each
-distinct value once per call.  Cochains computed by the package itself are
-built by ``TwistedCochain._trusted``; the public constructor still checks
-and coerces what callers pass.
+distinct value once per call.  A cochain keeps the test's answer, and the
+H^0 representatives are flat when built, so only sections from outside the
+package are walked.  Cochains computed by the package itself are built by
+``TwistedCochain._trusted``; the public constructor still checks and
+coerces what callers pass.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ def _normalize_simplex(key) -> tuple:
 
 class TwistedCochain:
     """A degree-n cochain valued in a local system.  Missing simplices are
-    zero-filled, so sparse dicts are fine as input."""
+    zero-filled, so sparse dicts are fine as input.  Immutable by
+    convention: a 0-cochain keeps the answer of its flatness test."""
 
     def __init__(self, system: LocalSystem, degree: int, values: Mapping | None = None):
         if degree < 0:
@@ -100,6 +103,7 @@ class TwistedCochain:
                 )
             out[s] = vec
         self.values = out
+        self._flat = None
 
     @classmethod
     def _trusted(cls, system: LocalSystem, degree: int, values: dict) -> "TwistedCochain":
@@ -111,6 +115,7 @@ class TwistedCochain:
         phi.system = system
         phi.degree = degree
         phi.values = values
+        phi._flat = None
         return phi
 
     def value(self, simplex) -> tuple:
@@ -126,14 +131,9 @@ class TwistedCochain:
 
     @classmethod
     def from_vector(cls, system: LocalSystem, degree: int, vec: Sequence) -> "TwistedCochain":
-        simplices = system.base.simplices_of_dim(degree)
-        r = system.rank
-        if len(vec) != len(simplices) * r:
+        if len(vec) != len(system.base.simplices_of_dim(degree)) * system.rank:
             raise InputError("coordinate vector has the wrong length")
-        values = {
-            s: tuple(vec[i * r : (i + 1) * r]) for i, s in enumerate(simplices)
-        }
-        return cls(system, degree, values)
+        return cls(system, degree, _by_simplex(system, degree, vec))
 
     def _check_compatible(self, other):
         if not isinstance(other, TwistedCochain):
@@ -183,6 +183,16 @@ class TwistedCochain:
         return f"TwistedCochain(degree={self.degree}, support={support})"
 
 
+def _by_simplex(system: LocalSystem, degree: int, vec: Sequence) -> dict:
+    """The values {simplex: fiber tuple} of a vector flattened as
+    ``TwistedCochain.vector`` flattens them."""
+    r = system.rank
+    return {
+        s: tuple(vec[i * r : (i + 1) * r])
+        for i, s in enumerate(system.base.simplices_of_dim(degree))
+    }
+
+
 def zero_cochain(system: LocalSystem, degree: int) -> TwistedCochain:
     return TwistedCochain(system, degree)
 
@@ -228,15 +238,19 @@ def coboundary(phi: TwistedCochain) -> TwistedCochain:
 def is_flat_section(phi: TwistedCochain) -> bool:
     """Whether a 0-cochain is flat: T(i, j) phi(j) == phi(i) on every edge
     (i, j), which is exactly ``coboundary(phi).is_zero()`` without building
-    the coboundary."""
+    the coboundary.  The answer is computed once per cochain and kept on
+    it, as ``check_flat`` keeps its own on a system; the representatives of
+    an H^0 space start out flat."""
     if phi.degree != 0:
         raise DegreeError("a flat section is a 0-cochain")
-    L = phi.system
-    values = phi.values
-    act = _transport_action()
-    return all(
-        act(L.matrix(i, j), values[(j,)]) == values[(i,)] for i, j in L.base.edges
-    )
+    if phi._flat is None:
+        L = phi.system
+        values = phi.values
+        act = _transport_action()
+        phi._flat = all(
+            act(L.matrix(i, j), values[(j,)]) == values[(i,)] for i, j in L.base.edges
+        )
+    return phi._flat
 
 
 def coboundary_matrix(L: LocalSystem, n: int) -> Matrix:
@@ -342,7 +356,8 @@ class CohomologySpace:
             len(self._residues),
         )
         self.representatives = [
-            TwistedCochain.from_vector(system, degree, v) for v in self._rep_vectors
+            TwistedCochain._trusted(system, degree, _by_simplex(system, degree, v))
+            for v in self._rep_vectors
         ]
         self.dimension = len(self.representatives)
 
@@ -425,7 +440,10 @@ def cohomology(L: LocalSystem, n: int) -> CohomologySpace:
     if not L.base.simplices_of_dim(n):
         return CohomologySpace(L, n)
     if n == 0:
-        return CohomologySpace(L, 0, _flat_sections(L))
+        space = CohomologySpace(L, 0, _flat_sections(L))
+        for phi in space.representatives:
+            phi._flat = True  # a basis vector of ker d_0
+        return space
     image_columns = coboundary_matrix(L, n - 1).transpose().entries
     return CohomologySpace(L, n, kernel_basis(coboundary_matrix(L, n)), image_columns)
 

@@ -30,11 +30,24 @@ the flatness law) runs once per distinct source object, so a derived system
 costs one step per transport value and inherits the sharing.  The flatness
 law multiplies only when neither factor is the identity, and its list of
 violated triangles is computed once per system and kept on it.
+
+The flatness law runs only on transports from outside the package:
+``from_representation`` and the algebroid constructor run it, and a system
+built by ``LocalSystem`` or ``with_edge`` runs it when first asked.  Derived
+systems inherit its answer.  The trivial system is flat when it is built,
+and ``dual``, ``sym_power`` and ``tensor_system`` are flat when their inputs
+are known flat, so they keep that answer in the slot that ``check_flat``
+fills.  A system nobody has checked passes on nothing.
+
+Symmetric powers past ``MAX_SYM_RANK`` dimensions are refused before any
+matrix is built: Sym^k of a rank-r fiber has C(r + k - 1, k) dimensions,
+and its transports and invariant sections are dense in them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -49,6 +62,13 @@ from .errors import (
     UnsupportedRankError,
 )
 from .linalg import Matrix, rref
+
+_ZERO = Fraction(0)
+
+# the largest dimension of a symmetric power that ``sym_power`` builds for
+# k >= 2: Sym^9 of a rank-3 fiber has 55, and a chern-weil query of it on
+# the 4x4 torus answers in under a second
+MAX_SYM_RANK = 55
 
 
 def _as_matrix(value, rank=None) -> Matrix:
@@ -124,9 +144,11 @@ class LocalSystem:
         equal to u or joined to it by an edge."""
         if u == w:
             return Matrix.identity(self.rank)
-        if u < w:
-            return self.transport[(u, w)]
-        return self._inverse(self.transport[(w, u)])
+        try:
+            m = self.transport[(u, w) if u < w else (w, u)]
+        except KeyError:
+            raise InputError(f"step {(u, w)} is not an edge of the base", step=(u, w)) from None
+        return m if u < w else self._inverse(m)
 
     def with_edge(self, edge, value) -> "LocalSystem":
         """Copy of the system with one edge transport replaced."""
@@ -154,8 +176,20 @@ class LocalSystem:
 
 
 def trivial_system(c: Complex, rank: int = 1) -> LocalSystem:
+    """Every edge carries the identity, so the system is flat when built."""
     ident = Matrix.identity(rank)
-    return LocalSystem(c, rank, {e: ident for e in c.edges})
+    L = LocalSystem(c, rank, {e: ident for e in c.edges})
+    L._violations = ()
+    return L
+
+
+def _flat_if(derived: LocalSystem, *sources: LocalSystem) -> LocalSystem:
+    """Tag a system built transport by transport from ``sources`` by a map
+    that respects products (inverse transpose, Kronecker product, symmetric
+    power) as flat when every source is known flat; else leave it unchecked."""
+    if all(L._violations == () for L in sources):
+        derived._violations = ()
+    return derived
 
 
 def check_flat(L: LocalSystem) -> list:
@@ -335,7 +369,10 @@ def gauge_transform(L: LocalSystem, frames) -> LocalSystem:
     Gauge transforms preserve flatness and all cohomology."""
     g = {}
     for v in range(L.base.vertex_count):
-        value = frames[v]
+        try:
+            value = frames[v]
+        except (KeyError, IndexError):
+            raise InputError(f"no frame given for vertex {v}", vertex=v) from None
         m = _as_matrix(value, L.rank)
         _require_invertible(m, f"vertex {v}")
         g[v] = m
@@ -352,20 +389,22 @@ def dual(L: LocalSystem) -> LocalSystem:
     object once.  A tensor product is inverted as it stands, not factor by
     factor: each distinct Kronecker transport of ``tensor_power(L, k)`` has
     size r^k and costs about r^(3k), where the duals of its k rank-r
-    factors would cost about k r^3."""
+    factors would cost about k r^3.  Flat when L is known flat."""
     if L._dual is None:
         flip = _once_per_object(lambda m: L._inverse(m).transpose())
         transport = {e: flip(m) for e, m in L.transport.items()}
-        L._dual = LocalSystem(L.base, L.rank, transport)
+        L._dual = _flat_if(LocalSystem(L.base, L.rank, transport), L)
     return L._dual
 
 
 def tensor_system(L1: LocalSystem, L2: LocalSystem) -> LocalSystem:
+    """Kronecker products of the transports; flat when both factors are
+    known flat."""
     if L1.base != L2.base:
         raise BaseMismatchError("tensor product needs a common base")
     kron = _once_per_object(Matrix.kron)
     transport = {e: kron(L1.transport[e], L2.transport[e]) for e in L1.base.edges}
-    return LocalSystem(L1.base, L1.rank * L2.rank, transport)
+    return _flat_if(LocalSystem(L1.base, L1.rank * L2.rank, transport), L1, L2)
 
 
 def tensor_power(L: LocalSystem, k: int) -> LocalSystem:
@@ -382,42 +421,80 @@ def _sym_monomials(rank: int, k: int) -> list:
     return list(itertools.combinations_with_replacement(range(rank), k))
 
 
+def _bump(exponents: tuple, a: int) -> tuple:
+    """The exponent vector of a monomial times the variable a."""
+    return exponents[:a] + (exponents[a] + 1,) + exponents[a + 1 :]
+
+
 def _sym_matrix(m: Matrix, k: int) -> Matrix:
     """Induced action on the k-th symmetric power, in the monomial basis
     ordered by combinations_with_replacement.  Multiplicative in m, so
-    flatness is preserved."""
+    flatness is preserved.
+
+    The column of a monomial w is the product of the columns of m that the
+    letters of w name, a polynomial in r variables: the column of w without
+    its largest letter times one more column of m.  So the expansion climbs
+    one degree at a time and expands each monomial of each degree once.
+    Monomials are exponent vectors, and the expansion runs in integers on
+    d m, for d the common denominator of m's entries, then divides by d^k."""
     r = m.rows
-    monomials = _sym_monomials(r, k)
+    d = math.lcm(*(x.denominator for row in m.entries for x in row))
+    # scaled[a]: the nonzero entries (i, d * m[i][a]) of column a
+    scaled = [
+        [(i, x.numerator * (d // x.denominator)) for i, x in enumerate(col) if x]
+        for col in zip(*m.entries)
+    ]
+    zero = (0,) * r
+    layer = {zero: {zero: 1}}  # monomial of degree j -> its column
+    for _ in range(k):
+        grown = {}
+        for word, poly in layer.items():
+            largest = max((a for a in range(r) if word[a]), default=0)
+            for a in range(largest, r):
+                column = {}
+                for exponents, c in poly.items():
+                    for i, x in scaled[a]:
+                        key = _bump(exponents, i)
+                        column[key] = column.get(key, 0) + c * x
+                grown[_bump(word, a)] = column
+        layer = grown
+    monomials = [tuple(w.count(a) for a in range(r)) for w in _sym_monomials(r, k)]
     index = {w: i for i, w in enumerate(monomials)}
-    columns = []
-    for word in monomials:
-        poly = {(): Fraction(1)}
-        for letter in word:
-            new = {}
-            for partial, coeff in poly.items():
-                for out_index in range(r):
-                    factor = m.entries[out_index][letter]
-                    if factor == 0:
-                        continue
-                    key = tuple(sorted(partial + (out_index,)))
-                    new[key] = new.get(key, Fraction(0)) + coeff * factor
-            poly = new
-        col = [Fraction(0)] * len(monomials)
-        for key, coeff in poly.items():
-            col[index[key]] = coeff
-        columns.append(col)
-    return Matrix(list(zip(*columns)) if monomials else [], cols=len(monomials))
+    scale = d**k
+    rows = [[_ZERO] * len(monomials) for _ in monomials]
+    for j, word in enumerate(monomials):
+        for exponents, c in layer[word].items():
+            if c:
+                rows[index[exponents]][j] = Fraction(c, scale)
+    return Matrix._trusted(tuple(map(tuple, rows)), len(monomials))
+
+
+def _sym_rank(rank: int, k: int) -> int:
+    """dim Sym^k of a rank-r fiber, C(r + k - 1, k), for k >= 0; an
+    InputError past ``MAX_SYM_RANK``, before anything is built."""
+    dim = math.comb(rank + k - 1, k)
+    if dim > MAX_SYM_RANK:
+        raise InputError(
+            f"symmetric power {k} of a rank-{rank} fiber has dimension {dim}, "
+            f"more than {MAX_SYM_RANK}",
+            dimension=dim,
+            limit=MAX_SYM_RANK,
+        )
+    return dim
 
 
 def sym_power(L: LocalSystem, k: int) -> LocalSystem:
-    """The k-th symmetric power.  For k = 0 this is the trivial line, and
-    sym_power(L, 1) returns transports equal to those of L."""
+    """The k-th symmetric power: the trivial line for k = 0, and L itself
+    for k = 1.  A power k >= 2 of dimension past ``MAX_SYM_RANK`` raises
+    InputError.  Flat when L is known flat."""
     if k < 0:
         raise InputError("symmetric power needs a nonnegative exponent")
+    if k == 1:
+        return L
+    rank = _sym_rank(L.rank, k)
     sym = _once_per_object(lambda m: _sym_matrix(m, k))
     transport = {e: sym(m) for e, m in L.transport.items()}
-    rank = len(_sym_monomials(L.rank, k))
-    return LocalSystem(L.base, rank, transport)
+    return _flat_if(LocalSystem(L.base, rank, transport), L)
 
 
 def pullback_system(f: SimplicialMap, L: LocalSystem) -> LocalSystem:

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import re
 import shutil
@@ -10,9 +11,19 @@ from pathlib import Path
 import pytest
 
 import algebroids
-from algebroids import Matrix, dump_json
+from algebroids import (
+    Matrix,
+    NotInvariantError,
+    TwistedCochain,
+    chern_weil,
+    cochain_from_json,
+    dump_json,
+    invariant_sections,
+    make_algebroid,
+    representation_from_json,
+)
 from algebroids.cli import main
-from algebroids.jsonio import resolve_complex_spec
+from algebroids.jsonio import load_json, resolve_complex_spec
 
 
 @pytest.fixture()
@@ -204,22 +215,24 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 
 def test_chern_weil_checks_act_once_per_transport_and_value(run, monkeypatch):
-    """A rank-3 query's section checks apply each transport object to each
-    value at most once, and the flatness law multiplies no triple with an
-    identity factor."""
+    """A rank-3 query walks none of its sections: they are the
+    representatives of an H^0 space, flat when built.  A section a caller
+    builds is walked once, applying each transport object to each value at
+    most once, and is refused when it is not flat.  The flatness law
+    multiplies no triple with an identity factor."""
     cohomology = sys.modules["algebroids.cohomology"]
     local_systems = sys.modules["algebroids.local_systems"]
 
     applied = []  # per section check: (transport object, value) keys
     products = []  # per flatness check: factor pairs multiplied
-    frames = []
+    frames = []  # (log, entry) of the checks running
     apply, mul = Matrix.apply, Matrix.__mul__
     is_flat_section, check_flat = cohomology.is_flat_section, local_systems.check_flat
 
     def within(log, fn):
         def wrapped(*args):
             log.append([])
-            frames.append(log[-1])
+            frames.append((log, log[-1]))
             try:
                 return fn(*args)
             finally:
@@ -227,37 +240,86 @@ def test_chern_weil_checks_act_once_per_transport_and_value(run, monkeypatch):
         return wrapped
 
     def counting_apply(m, vec):
-        if frames and frames[-1] in applied:
-            frames[-1].append((id(m), tuple(vec)))
+        if frames and frames[-1][0] is applied:
+            frames[-1][1].append((id(m), tuple(vec)))
         return apply(m, vec)
 
     def counting_mul(a, b):
-        if frames and frames[-1] in products:
-            products[-1].append((a, b))
+        if frames and frames[-1][0] is products:
+            frames[-1][1].append((a, b))
         return mul(a, b)
 
     monkeypatch.setattr(Matrix, "apply", counting_apply)
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
     _patch_everywhere(monkeypatch, is_flat_section, within(applied, is_flat_section))
     _patch_everywhere(monkeypatch, check_flat, within(products, check_flat))
+    rep = FIXTURES / "rep3_unipotent.json"
+    omega = FIXTURES / "omega_torus4x4_rank3.json"
     code, out, _ = run(
         "chern-weil", "--complex", "builtin:torus4x4",
-        "--rep-file", str(FIXTURES / "rep3_unipotent.json"),
-        "--omega", str(FIXTURES / "omega_torus4x4_rank3.json"), "--max-k", "2",
+        "--rep-file", str(rep), "--omega", str(omega), "--max-k", "2",
     )
     assert code == 0
     assert "k=2: invariant sections" in out
-    edges = len(resolve_complex_spec("builtin:torus4x4").edges)
-    # one check per section, in chern_weil
+    # one check per section, in chern_weil, and none of them walks
     sections = re.findall(r"invariant sections (\d+)", out)
     assert len(applied) == sum(map(int, sections)) >= 3
-    for keys in applied:
-        assert len(keys) == len(set(keys))
-        assert len(keys) < edges
-    assert any(applied) and any(products)
+    assert not any(applied)
+    assert any(products)
     for pairs in products:
         for a, b in pairs:
             assert not a.is_identity() and not b.is_identity()
+
+    c = resolve_complex_spec("builtin:torus4x4")
+    L = representation_from_json(c, load_json(str(rep)))
+    A = make_algebroid(L, cochain_from_json(L, load_json(str(omega))))
+    for k in (1, 2):
+        built = invariant_sections(A, k).representatives[0]
+        section = TwistedCochain(built.system, 0, built.values)
+        del applied[:]
+        assert chern_weil(A, section, k) == chern_weil(A, section, k) == chern_weil(A, built, k)
+        walks = [keys for keys in applied if keys]
+        assert len(applied) == 3 and len(walks) == 1
+        assert len(walks[0]) == len(set(walks[0])) < len(c.edges)
+        values = dict(built.values)
+        values[(5,)] = tuple(x + 1 for x in values[(5,)])
+        with pytest.raises(NotInvariantError):
+            chern_weil(A, TwistedCochain(built.system, 0, values), k)
+
+
+def test_chern_weil_builds_no_cup_power_for_a_zero_target(run, monkeypatch):
+    """The torus has no 4- or 6-simplices, so a --max-k 3 query cups and
+    tensors only for omega^1, and prints the bytes it printed when it built
+    omega^2 and omega^3 (recorded before the shortcut)."""
+    cohomology = sys.modules["algebroids.cohomology"]
+    local_systems = sys.modules["algebroids.local_systems"]
+    cupped, tensored = [], []
+    cup, tensor_system = cohomology.cup, local_systems.tensor_system
+
+    def recording_cup(alpha, beta):
+        cupped.append(alpha.degree + beta.degree)
+        return cup(alpha, beta)
+
+    def recording_tensor_system(L1, L2):
+        tensored.append(L1.rank * L2.rank)
+        return tensor_system(L1, L2)
+
+    _patch_everywhere(monkeypatch, cup, recording_cup)
+    _patch_everywhere(monkeypatch, tensor_system, recording_tensor_system)
+    code, out, _ = run(
+        "chern-weil", "--complex", "builtin:torus3x3",
+        "--rep-file", str(FIXTURES / "rep3_unipotent.json"),
+        "--omega", str(FIXTURES / "omega_torus3x3_rank3.json"), "--max-k", "3",
+    )
+    assert code == 0
+    assert out == (
+        "k=0: invariant sections 1, nonzero classes (1/1)\n"
+        "k=1: invariant sections 1, nonzero classes (22/3)\n"
+        "k=2: invariant sections 1, image {0}\n"
+        "k=3: invariant sections 1, image {0}\n"
+    )
+    assert cupped == [2]  # 1 cup omega
+    assert tensored == [3]  # the trivial line tensor the rank-3 adjoint
 
 
 def test_chern_weil_dualizes_only_the_adjoint(run, monkeypatch):
@@ -400,12 +462,10 @@ def test_installed_console_script_reports_version():
     assert proc.stdout.strip() == algebroids.__version__
 
 
-def test_huge_vertex_count_fails_typed_in_bounded_memory(tmp_path):
-    """A declared vertex count far beyond the edges must not allocate per
-    vertex: the disconnection error comes out under a 1 GiB address limit."""
+def _limited_cli_process(*argv, timeout):
+    """Run the command line in a child process under a 1 GiB address limit,
+    with errors printed as JSON, killed after ``timeout`` seconds."""
     resource = pytest.importorskip("resource")
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"vertices": 100_000_000, "simplices": [[0, 1]]}))
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -415,10 +475,18 @@ def test_huge_vertex_count_fails_typed_in_bounded_memory(tmp_path):
         PYTHONPATH=str(Path(algebroids.__file__).resolve().parents[1]),
         ALGEBROIDS_VERBOSE="1",
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "algebroids.cli", "validate", "--complex", str(path)],
-        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=10,
+    return subprocess.run(
+        [sys.executable, "-m", "algebroids.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=timeout,
     )
+
+
+def test_huge_vertex_count_fails_typed_in_bounded_memory(tmp_path):
+    """A declared vertex count far beyond the edges must not allocate per
+    vertex: the disconnection error comes out under a 1 GiB address limit."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": 100_000_000, "simplices": [[0, 1]]}))
+    proc = _limited_cli_process("validate", "--complex", str(path), timeout=10)
     assert proc.returncode == 1
     assert json.loads(proc.stderr.strip().splitlines()[-1]) == {
         "code": "DISCONNECTED",
@@ -446,6 +514,41 @@ def test_running_out_of_memory_fails_typed():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines()[-1].startswith("error [OUT_OF_MEMORY]: ")
+
+
+RANK3_TORUS4X4 = (
+    "chern-weil", "--complex", "builtin:torus4x4",
+    "--rep-file", str(FIXTURES / "rep3_unipotent.json"),
+    "--omega", str(FIXTURES / "omega_torus4x4_rank3.json"),
+)
+
+
+@pytest.mark.parametrize("k", [10, 10**6])
+def test_a_symmetric_power_past_the_bound_fails_fast(k):
+    """Sym^10 of the rank-3 adjoint has dimension 66, past the bound of 55
+    (before the bound, k = 7 alone ran past a minute).  Both powers are
+    refused before any power is built."""
+    proc = _limited_cli_process(*RANK3_TORUS4X4, "--min-k", "0", "--max-k", str(k), timeout=10)
+    assert proc.returncode == 1
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["code"] == "BAD_INPUT"
+    assert error["details"] == {"dimension": math.comb(k + 2, k), "limit": 55}
+
+
+def test_the_largest_symmetric_power_in_the_bound_answers():
+    proc = _limited_cli_process(*RANK3_TORUS4X4, "--min-k", "9", "--max-k", "9", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "k=9: invariant sections 1, image {0}\n"
+
+
+def test_an_empty_power_range_is_refused():
+    """--min-k past --max-k used to print an empty report and exit 0."""
+    proc = _limited_cli_process(*RANK3_TORUS4X4, "--min-k", "3", "--max-k", "2", timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["code"] == "BAD_INPUT"
+    assert error["details"] == {"min_k": 3, "max_k": 2}
 
 
 def _cli_process(*argv):

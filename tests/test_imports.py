@@ -8,6 +8,9 @@ There is no linter in the toolchain, so these walk the syntax trees:
 - only ``complexes.py`` and ``local_systems.py`` walk a spanning tree, that
   is read its ``parent`` or ``order``: every other module takes loop sums,
   holonomies and frames from the one pass each of those makes;
+- only ``local_systems.py`` sets a system's flatness, that is assigns a
+  ``_violations`` attribute: every other module asks ``check_flat``, so a
+  system is tagged flat only by the law or by a construction that keeps it;
 - no definition is dead: every function, method and class defined in the
   package (dunders aside) is referenced, as a name or an attribute, from
   the package or its tests;
@@ -97,6 +100,46 @@ def test_the_check_finds_a_tree_walk(tmp_path):
     path.write_text("def f(tree, parents):\n    for v in tree.order[1:]:\n"
                     "        yield parents[v], tree.parent[v], tree.root\n")
     assert tree_walks(path) == [(2, "order"), (3, "parent")]
+
+
+def flatness_writes(path: Path) -> list:
+    """Line of every assignment to a ``._violations`` attribute in a module,
+    plain, augmented, annotated or unpacked."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for part in ast.walk(target):
+                if isinstance(part, ast.Attribute) and part.attr == "_violations":
+                    found.append(part.lineno)
+    return sorted(found)
+
+
+def test_only_local_systems_sets_a_systems_flatness():
+    found = []
+    writers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = flatness_writes(path)
+        if lines:
+            writers.add(path.stem)
+        if path.stem != "local_systems":
+            found.extend(f"{path.name}:{line}: ._violations" for line in lines)
+    assert found == []
+    assert writers == {"local_systems"}
+
+
+def test_the_check_finds_a_flatness_write(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def f(L, M, N):\n    L._violations = ()\n    print(M._violations)\n"
+                    "    a, N._violations = 1, None\n    L._violations += ()\n"
+                    "    M._violations: tuple = ()\n")
+    assert flatness_writes(path) == [2, 4, 5, 6]
 
 
 def definitions(path: Path) -> list:

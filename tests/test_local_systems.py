@@ -489,3 +489,87 @@ def test_flatness_is_checked_once_per_system(monkeypatch):
     first.append("mutated")
     assert check_flat(L) == first[:-1]
     assert products == []
+
+
+def test_derived_systems_inherit_only_a_known_flat_answer(torus):
+    """dual, sym_power and tensor_system of a flat system carry the flatness
+    law's answer from the start.  Of a non-flat system, checked or not, they
+    carry none, and checking them reports the triangles of their source."""
+    flat = from_representation(torus, {"a": Matrix([[1, 1], [0, 1]])})
+    assert flat._violations == ()
+    for derived in (dual(flat), sym_power(flat, 2), tensor_system(flat, flat)):
+        assert derived._violations == ()
+    assert trivial_system(torus, 2)._violations == ()
+    broken = flat.with_edge((1, 2), Matrix([[2, 0], [0, 1]]))
+    expected = [t for t in torus.triangles if (1, 2) in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))]
+    for checked in (False, True):
+        L = LocalSystem(torus, 2, broken.transport)
+        if checked:
+            assert check_flat(L) == expected
+        for derived in (dual(L), sym_power(L, 2), tensor_system(L, flat), tensor_system(flat, L)):
+            assert derived._violations is None
+            assert check_flat(derived) == expected
+
+
+def test_sym_power_one_is_the_system_and_a_large_power_is_refused(torus):
+    """Sym^1 builds nothing, and a power whose dimension passes
+    MAX_SYM_RANK is refused before any transport is built."""
+    from algebroids.local_systems import MAX_SYM_RANK
+
+    L = from_representation(torus, {"a": Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])})
+    assert sym_power(L, 1) is L
+    assert sym_power(L, 9).rank == 55 <= MAX_SYM_RANK
+    with pytest.raises(InputError) as info:
+        sym_power(L, 10)
+    assert info.value.details == {"dimension": 66, "limit": MAX_SYM_RANK}
+
+
+def test_sym_matrix_matches_the_product_of_columns():
+    """Each column of Sym^k(m) is the product of the columns of m its
+    monomial names, expanded here one monomial at a time in Fractions."""
+    from algebroids.local_systems import _sym_matrix, _sym_monomials
+
+    def reference(m, k):
+        monomials = _sym_monomials(m.rows, k)
+        index = {w: i for i, w in enumerate(monomials)}
+        rows = [[Fraction(0)] * len(monomials) for _ in monomials]
+        for j, word in enumerate(monomials):
+            poly = {(): Fraction(1)}
+            for letter in word:
+                grown = {}
+                for partial, coeff in poly.items():
+                    for i in range(m.rows):
+                        key = tuple(sorted(partial + (i,)))
+                        grown[key] = grown.get(key, 0) + coeff * m.entries[i][letter]
+                poly = grown
+            for key, coeff in poly.items():
+                rows[index[key]][j] = coeff
+        return rows
+
+    rng = random.Random(31)
+    for rank in (1, 2, 3, 4):
+        for k in range(5):
+            m = Matrix([
+                [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) if rng.random() < 0.7 else 0
+                 for _ in range(rank)]
+                for _ in range(rank)
+            ])
+            assert [list(row) for row in _sym_matrix(m, k).entries] == reference(m, k)
+
+
+def test_gauge_transform_names_the_first_vertex_without_a_frame(torus):
+    L = from_representation(torus, {"a": 2, "b": 3})
+    for frames in ({0: 1}, [1, 2, 3]):
+        missing = len(frames)
+        with pytest.raises(InputError) as info:
+            gauge_transform(L, frames)
+        assert info.value.details == {"vertex": missing}
+
+
+def test_a_step_that_is_not_an_edge_is_named(torus):
+    """(0, 7) is not an edge of the 3x3 torus, in either direction."""
+    L = from_representation(torus, {"a": 2, "b": 3})
+    for u, w in ((0, 7), (7, 0)):
+        with pytest.raises(InputError) as info:
+            L.step(u, w)
+        assert info.value.details == {"step": (u, w)}

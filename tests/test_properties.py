@@ -1,11 +1,12 @@
 """Seeded property tests of flat systems and their cohomology dimensions.
 
 Flatness must survive every construction the package offers (gauge
-transforms, duals, tensor and symmetric powers, pullbacks), and the
-dimensions must obey the Euler characteristic, ignore gauge transforms and,
-for rank-1 systems on the torus, match the closed form.  Systems are drawn
-from hypothesis seeds, and hypothesis runs derandomized without a database,
-so every run sees the same examples.
+transforms, duals, tensor and symmetric powers, pullbacks), checked afresh
+on copies that carry no inherited answer, and the dimensions must obey the
+Euler characteristic, ignore gauge transforms and, for rank-1 systems on
+the torus, match the closed form.  Systems are drawn from hypothesis seeds,
+and hypothesis runs derandomized without a database, so every run sees the
+same examples.
 """
 
 import random
@@ -14,6 +15,8 @@ from fractions import Fraction
 import pytest
 
 from algebroids import (
+    LocalSystem,
+    check_flat,
     circle_model,
     cohomology_dims,
     dual,
@@ -61,6 +64,8 @@ def euler_characteristic(c) -> int:
 @SEEDED
 @hypothesis.given(models, st.integers(1, 3), seeds, st.integers(0, 3))
 def test_constructions_preserve_flatness(model, rank, seed, k):
+    """Derived systems of flat ones inherit the flatness law's answer; an
+    untagged copy of each proves it triangle by triangle."""
     L = _system(model, rank, seed)
     M = _system(model, 1 + seed % 2, seed + 1)
     assert is_flat(L) and is_flat(M)
@@ -72,6 +77,9 @@ def test_constructions_preserve_flatness(model, rank, seed, k):
         sym_power(L, k),
         sym_power(dual(L), k),
     ):
+        copy = LocalSystem(derived.base, derived.rank, derived.transport)
+        assert copy._violations is None
+        assert check_flat(copy) == []
         assert is_flat(derived)
 
 
