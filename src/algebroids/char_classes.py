@@ -21,10 +21,13 @@ cycle (read off the echelon form of B^2 that H^2 already holds, so the
 boundary d_2 is eliminated once), and one cochain or cup product per word
 of primes, so the image words of ``brho_image``, the cup pairs of
 ``surjectivity_check`` and the fundamental-class certificate share each
-product.  ``char_class_report``, ``brho_image``, ``image_dims`` and
-``surjectivity_check`` are thin wrappers over it, and nothing it holds
-outlives the query.  The reference torus the surjectivity test compares
-against is built once per process.
+product.  ``brho_image``, ``image_dims`` and ``surjectivity_check`` are
+thin wrappers over it, and nothing it holds outlives the query.  The
+reference torus the surjectivity test compares against is built once per
+process.
+
+This module returns objects only: the command line reads a query, its
+classes and its ``Certificate`` records, and builds every report itself.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .errors import (
     UnsupportedBaseError,
     UnsupportedRankError,
 )
-from .jsonio import format_rational
 from .linalg import FormalLog, GF2, Matrix, _RowSpace, _coprime_base, solve
 from .local_systems import LocalSystem, _require_flat, holonomy, trivial_system
 
@@ -277,31 +279,13 @@ def image_dims(L: LocalSystem) -> dict:
 
 class Certificate:
     """One certified identity: a linear combination of prime classes (or of
-    their pairwise cup products) that equals a target basis class."""
+    their pairwise cup products) that equals a target basis class.  Each
+    term is a pair (tuple of primes, rational coefficient)."""
 
     def __init__(self, target: str, degree: int, terms):
         self.target = target
         self.degree = degree
         self.terms = list(terms)
-
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "degree": self.degree,
-            "terms": [
-                {"primes": list(primes), "coefficient": format_rational(coeff)}
-                for primes, coeff in self.terms
-            ],
-        }
-
-    def text(self) -> str:
-        """One line, e.g. ``fundamental = -1/1 * l2*l3``: each term is a
-        coefficient times a product of prime classes l_p."""
-        terms = " + ".join(
-            "{} * l{}".format(format_rational(coeff), "*l".join(str(p) for p in primes))
-            for primes, coeff in self.terms
-        )
-        return f"{self.target} = {terms}"
 
     def __repr__(self):
         return f"Certificate(target={self.target!r}, terms={self.terms!r})"
@@ -354,45 +338,3 @@ def _certify_fundamental(query: _ClassQuery, cup_pairings: dict) -> Certificate:
     if achieved != target:
         raise InputError("fundamental-class certificate failed verification")
     return Certificate("fundamental", 2, [(pair, coeff)])
-
-
-class CharClassReport:
-    """Everything the holonomy sees: sign class, per-prime log classes,
-    image dimensions, and (on the torus) the surjectivity verdict."""
-
-    def __init__(self, base, sign, logs, dims, surjective=None, certificate=None):
-        self.base = base
-        self.sign = sign
-        self.logs = logs
-        self.image_dims = dims
-        self.surjective = surjective
-        self.certificate = certificate
-
-    def to_json(self) -> dict:
-        edges = ["edge_{}_{}".format(*e) for e in self.base.tree.non_tree_edges]
-        data = {
-            "schema_version": "1",
-            "generators": edges,
-            "sign": [bit.value for bit in self.sign.coordinates()],
-            "logs": {
-                str(p): [format_rational(x) for x in cls.coordinates()]
-                for p, cls in self.logs.items()
-            },
-            "image_dims": {str(d): dim for d, dim in self.image_dims.items()},
-        }
-        if self.surjective is not None:
-            data["surjective"] = self.surjective
-            data["certificate"] = [cert.to_json() for cert in self.certificate or []]
-        return data
-
-
-def char_class_report(L: LocalSystem, check_surjectivity: bool = False) -> CharClassReport:
-    query = _ClassQuery(L)
-    sign = sign_class(L)
-    logs = query.logs
-    dims = {degree: dim for degree, (dim, _) in query.image().items()}
-    surjective = None
-    certificate = None
-    if check_surjectivity:
-        surjective, certificate = query.surjectivity()
-    return CharClassReport(L.base, sign, logs, dims, surjective, certificate)

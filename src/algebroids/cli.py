@@ -2,9 +2,11 @@
 
 Subcommands load a complex (builtin name, file path, or algebroid bundle),
 run one computation, and print either a short text summary or a
-deterministic JSON report.  Validation failures, schema problems and
-exhausted memory exit with status 1 and a one-line error on stderr;
-ALGEBROIDS_VERBOSE=1 prints that error as a JSON object instead.
+deterministic JSON report.  This module builds every report: the
+computation modules return objects, and each report shape has one builder
+here for its JSON fields and its text lines.  Validation failures, schema
+problems and exhausted memory exit with status 1 and a one-line error on
+stderr; ALGEBROIDS_VERBOSE=1 prints that error as a JSON object instead.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 from . import __version__
 from .algebroid import chern_weil, invariant_sections, make_algebroid
-from .char_classes import char_class_report, surjectivity_check
+from .char_classes import _ClassQuery, sign_class, surjectivity_check
 # ``cohomology`` is not called here, but bench/test_oracles.py reaches the
 # cohomology module's namespace through ``cli.cohomology``.
 from .cohomology import TwistedCochain, cohomology, cohomology_dims, fundamental_cocycle  # noqa: F401
@@ -24,6 +26,7 @@ from .complexes import Complex
 from .errors import AlgebroidError, DegreeError, InputError, OutOfMemoryError, SchemaError
 from .jsonio import (
     SCHEMA_VERSION,
+    _simplex_key,
     algebroid_from_json,
     cochain_from_json,
     dump_json,
@@ -35,7 +38,14 @@ from .jsonio import (
     representation_to_json,
     resolve_complex_spec,
 )
-from .local_systems import LocalSystem, _sym_rank, from_representation, holonomy, pullback_system
+from .local_systems import (
+    LocalSystem,
+    _sym_range_rank,
+    _sym_rank,
+    from_representation,
+    holonomy,
+    pullback_system,
+)
 
 
 def _verbose() -> bool:
@@ -93,44 +103,34 @@ def _counts_text(counts: tuple) -> str:
     return ", ".join(parts)
 
 
-def cmd_validate(args) -> int:
-    if args.algebroid:
-        data = load_json(args.algebroid)
-        A = algebroid_from_json(data)
-        counts = A.base.counts()
-        _emit(
-            args,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "ok": True,
-                "counts": list(counts),
-                "rank": A.adjoint.rank,
-                "flat": True,
-                "omega_closed": True,
-            },
-            [
-                "complex ok: " + _counts_text(counts),
-                f"adjoint ok: rank {A.adjoint.rank}, flat",
-                "omega ok: closed",
-            ],
-        )
-        return 0
-    c = resolve_complex_spec(args.complex)
-    counts = c.counts()
+def _validation_report(args, base: Complex, label: str, L, omega_closed: bool) -> int:
+    """The validate report: the complex's counts, then the ``label`` system
+    L (the adjoint or the representation) if one was checked, then omega."""
+    counts = base.counts()
     report = {"schema_version": SCHEMA_VERSION, "ok": True, "counts": list(counts)}
     lines = ["complex ok: " + _counts_text(counts)]
-    if args.rep or args.rep_file:
-        L = _load_system(args, c)
-        report["rank"] = L.rank
-        report["flat"] = True
-        lines.append(f"representation ok: rank {L.rank}, flat")
-        if args.omega:
-            omega = _load_omega(args, L)
-            make_algebroid(L, omega)
-            report["omega_closed"] = True
-            lines.append("omega ok: closed")
+    if L is not None:
+        report.update(rank=L.rank, flat=True)
+        lines.append(f"{label} ok: rank {L.rank}, flat")
+    if omega_closed:
+        report["omega_closed"] = True
+        lines.append("omega ok: closed")
     _emit(args, report, lines)
     return 0
+
+
+def cmd_validate(args) -> int:
+    if args.algebroid:
+        A = algebroid_from_json(load_json(args.algebroid))
+        return _validation_report(args, A.base, "adjoint", A.adjoint, True)
+    c = resolve_complex_spec(args.complex)
+    L, omega_closed = None, False
+    if args.rep or args.rep_file:
+        L = _load_system(args, c)
+        if args.omega:
+            make_algebroid(L, _load_omega(args, L))
+            omega_closed = True
+    return _validation_report(args, c, "representation", L, omega_closed)
 
 
 def cmd_cohomology(args) -> int:
@@ -168,68 +168,82 @@ def cmd_chern_weil(args) -> int:
     omega = _load_omega(args, L)
     A = make_algebroid(L, omega)
     if args.max_k > 1:
-        # the last power is the largest: refuse it before building any other
+        # the last power is the largest: refuse it before building any other,
+        # then the range (a negative --min-k is refused by its first power)
         _sym_rank(L.rank, args.max_k)
+        if args.min_k >= 0:
+            _sym_range_rank(L.rank, args.min_k, args.max_k)
     report = {"schema_version": SCHEMA_VERSION, "powers": {}}
     lines = []
     for k in range(args.min_k, args.max_k + 1):
         sections = invariant_sections(A, k)
         classes = [chern_weil(A, phi, k) for phi in sections.representatives]
-        nonzero = [cls for cls in classes if not cls.is_zero()]
+        coordinates = [[format_rational(x) for x in cls.coordinates] for cls in classes]
+        nonzero = [
+            "(" + ", ".join(coords) + ")"
+            for cls, coords in zip(classes, coordinates)
+            if not cls.is_zero()
+        ]
         report["powers"][str(k)] = {
             "invariant_sections": sections.dimension,
-            "classes": [
-                [format_rational(x) for x in cls.coordinates] for cls in classes
-            ],
+            "classes": coordinates,
         }
         lines.append(
             f"k={k}: invariant sections {sections.dimension}, "
-            + (
-                "image {0}"
-                if not nonzero
-                else "nonzero classes "
-                + "; ".join(
-                    "(" + ", ".join(format_rational(x) for x in cls.coordinates) + ")"
-                    for cls in nonzero
-                )
-            )
+            + ("nonzero classes " + "; ".join(nonzero) if nonzero else "image {0}")
         )
     _emit(args, report, lines)
     return 0
 
 
-def _surjectivity_lines(surjective: bool, certificate) -> list:
-    return [f"surjective: {'true' if surjective else 'false'}"] + [
-        "  " + cert.text() for cert in certificate
-    ]
+def _surjectivity_report(surjective: bool, certificate) -> tuple:
+    """The ``surjective`` and ``certificate`` report fields of a
+    ``surjectivity_check`` answer, and its text lines.  A certificate's line
+    reads e.g. ``fundamental = -1/1 * l2*l3``: each term is a coefficient
+    times a product of prime classes l_p."""
+    fields = {"surjective": surjective, "certificate": []}
+    lines = [f"surjective: {'true' if surjective else 'false'}"]
+    for cert in certificate:
+        terms = [(list(primes), format_rational(coeff)) for primes, coeff in cert.terms]
+        fields["certificate"].append({
+            "target": cert.target,
+            "degree": cert.degree,
+            "terms": [{"primes": primes, "coefficient": coeff} for primes, coeff in terms],
+        })
+        text = " + ".join(f"{coeff} * l" + "*l".join(map(str, primes)) for primes, coeff in terms)
+        lines.append(f"  {cert.target} = {text}")
+    return fields, lines
 
 
 def cmd_char_classes(args) -> int:
     c = resolve_complex_spec(args.complex)
     L = _load_system(args, c)
-    report = char_class_report(L, check_surjectivity=args.check_surjectivity)
-    data = report.to_json()
-    lines = []
-    sign_bits = data["sign"]
-    lines.append(
-        "sign class: "
-        + ("zero" if not any(sign_bits) else "bits " + "".join(str(b) for b in sign_bits))
-    )
-    if report.logs:
-        for p in sorted(report.logs):
-            pairs = ", ".join(
-                "{}:{}".format("_".join(str(v) for v in e), format_rational(x))
-                for e, x in sorted(report.logs[p].values.items())
-            )
-            lines.append(f"log class p={p}: {pairs}")
-    else:
+    query = _ClassQuery(L)
+    sign = [bit.value for bit in sign_class(L).coordinates()]
+    lines = ["sign class: " + ("bits " + "".join(map(str, sign)) if any(sign) else "zero")]
+    logs = {}
+    for p, cls in query.logs.items():
+        logs[str(p)] = [format_rational(x) for x in cls.coordinates()]
+        pairs = ", ".join(
+            "{}:{}".format("_".join(str(v) for v in e), format_rational(x))
+            for e, x in sorted(cls.values.items())
+        )
+        lines.append(f"log class p={p}: {pairs}")
+    if not logs:
         lines.append("log classes: none")
-    lines.append(
-        "image dims: "
-        + " ".join(f"H{d}={report.image_dims[d]}" for d in sorted(report.image_dims))
-    )
-    if report.surjective is not None:
-        lines += _surjectivity_lines(report.surjective, report.certificate)
+    dims = {degree: dim for degree, (dim, _) in query.image().items()}
+    lines.append("image dims: " + " ".join(f"H{d}={dim}" for d, dim in dims.items()))
+    data = {
+        "schema_version": SCHEMA_VERSION,
+        "generators": [_simplex_key("edge", e) for e in c.tree.non_tree_edges],
+        "sign": sign,
+        "logs": logs,
+        "image_dims": {str(d): dim for d, dim in dims.items()},
+    }
+    if args.check_surjectivity:
+        fields, surjectivity_lines = _surjectivity_report(*query.surjectivity())
+        data.update(fields)
+        lines += surjectivity_lines
     _emit(args, data, lines)
     return 0
 
@@ -252,13 +266,8 @@ def cmd_pullback(args) -> int:
 def cmd_surjectivity(args) -> int:
     c = resolve_complex_spec(args.complex)
     L = _load_system(args, c)
-    surjective, certificate = surjectivity_check(L)
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "surjective": surjective,
-        "certificate": [cert.to_json() for cert in certificate],
-    }
-    _emit(args, data, _surjectivity_lines(surjective, certificate))
+    fields, lines = _surjectivity_report(*surjectivity_check(L))
+    _emit(args, {"schema_version": SCHEMA_VERSION, **fields}, lines)
     return 0
 
 

@@ -41,7 +41,8 @@ fills.  A system nobody has checked passes on nothing.
 
 Symmetric powers past ``MAX_SYM_RANK`` dimensions are refused before any
 matrix is built: Sym^k of a rank-r fiber has C(r + k - 1, k) dimensions,
-and its transports and invariant sections are dense in them.
+and its transports and invariant sections are dense in them.  A range of
+powers whose dimensions sum past ``MAX_SYM_RANGE`` is refused the same way.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ _ZERO = Fraction(0)
 # k >= 2: Sym^9 of a rank-3 fiber has 55, and a chern-weil query of it on
 # the 4x4 torus answers in under a second
 MAX_SYM_RANK = 55
+
+# the largest summed dimension of the symmetric powers one chern-weil query
+# builds: Sym^0 .. Sym^9 of a rank-3 fiber sum to 220 and answer in about
+# 2 s on the 4x4 torus, as do Sym^0 .. Sym^219 of a line
+MAX_SYM_RANGE = 220
 
 
 def _as_matrix(value, rank=None) -> Matrix:
@@ -376,9 +382,8 @@ def gauge_transform(L: LocalSystem, frames) -> LocalSystem:
         m = _as_matrix(value, L.rank)
         _require_invertible(m, f"vertex {v}")
         g[v] = m
-    transport = {
-        (i, j): g[i] * L.matrix(i, j) * g[j].inverse() for i, j in L.base.edges
-    }
+    inverse = {v: m.inverse() for v, m in g.items()}
+    transport = {(i, j): g[i] * L.matrix(i, j) * inverse[j] for i, j in L.base.edges}
     return LocalSystem(L.base, L.rank, transport)
 
 
@@ -481,6 +486,21 @@ def _sym_rank(rank: int, k: int) -> int:
             limit=MAX_SYM_RANK,
         )
     return dim
+
+
+def _sym_range_rank(rank: int, lo: int, hi: int) -> int:
+    """The summed dimension of Sym^lo .. Sym^hi of a rank-r fiber, for
+    0 <= lo <= hi, in closed form: C(r + hi, hi) - C(r + lo - 1, lo - 1),
+    so a wide range costs no loop.  An InputError past ``MAX_SYM_RANGE``."""
+    total = math.comb(rank + hi, hi) - (math.comb(rank + lo - 1, lo - 1) if lo else 0)
+    if total > MAX_SYM_RANGE:
+        raise InputError(
+            f"symmetric powers {lo} to {hi} of a rank-{rank} fiber have dimension "
+            f"{total} in all, more than {MAX_SYM_RANGE}",
+            dimension=total,
+            limit=MAX_SYM_RANGE,
+        )
+    return total
 
 
 def sym_power(L: LocalSystem, k: int) -> LocalSystem:

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from algebroids import (
     UnsupportedBaseError,
     UnsupportedRankError,
     canonical_edge_class,
-    char_class_report,
     circle_model,
     cup,
     evaluate_on_chain,
@@ -248,10 +248,10 @@ def test_certified_cup_pairs_with_fundamental_cycle(torus):
     assert abs(evaluate_on_chain(product, mu)) == 1
 
 
-def test_char_class_report_json_shape(torus):
-    L = from_representation(torus, {"a": -2, "b": 3})
-    report = char_class_report(L, check_surjectivity=True)
-    data = report.to_json()
+def test_char_classes_json_shape(capsys):
+    argv = ["char-classes", "--complex", "builtin:torus", "--rep", "a=-2,b=3", "--json"]
+    assert main(argv + ["--check-surjectivity"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["schema_version"] == "1"
     assert len(data["generators"]) == 19
     assert len(data["sign"]) == 19
@@ -263,8 +263,9 @@ def test_char_class_report_json_shape(torus):
         "b_dual",
         "fundamental",
     ]
-    plain = char_class_report(L)
-    assert "surjective" not in plain.to_json()
+    assert main(argv) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert "surjective" not in plain
 
 
 def test_random_rank1_systems_have_consistent_reports(torus):

@@ -551,6 +551,54 @@ def test_an_empty_power_range_is_refused():
     assert error["details"] == {"min_k": 3, "max_k": 2}
 
 
+RANK1_TORUS = ("chern-weil", "--complex", "builtin:torus", "--rep", "a=2/3,b=5")
+
+
+@pytest.mark.parametrize("k", [1000, 10**9])
+def test_a_power_range_past_the_summed_bound_fails_fast(k):
+    """Sym^k of a line is a line, so no single power is past its bound, but
+    powers 0 to k sum to k + 1 dimensions, past the bound of 220 (before
+    that bound, --max-k 1000 answered after 8 s).  The sum is taken in
+    closed form, so a range of 10^9 powers costs no loop."""
+    proc = _limited_cli_process(*RANK1_TORUS, "--min-k", "0", "--max-k", str(k), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["code"] == "BAD_INPUT"
+    assert error["details"] == {"dimension": k + 1, "limit": 220}
+
+
+def test_the_widest_power_range_in_the_bound_answers():
+    """Powers 0 to 9 of the rank-3 adjoint sum to 220 dimensions, the bound."""
+    proc = _limited_cli_process(*RANK3_TORUS4X4, "--min-k", "0", "--max-k", "9", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "k=0: invariant sections 1, nonzero classes (1/1)",
+        "k=1: invariant sections 1, nonzero classes (-68/3)",
+    ] + [f"k={k}: invariant sections 1, image {{0}}" for k in range(2, 10)]
+
+
+@pytest.mark.parametrize("rep", ["a=6/5,b=-35/3", "a=-42/5,b=-42/5", "a=1,b=66/7", "a=2,b=3"])
+def test_both_commands_print_one_surjectivity_report(run, rep):
+    torus = ("--complex", "builtin:torus", "--rep", rep)
+    outputs = [
+        run(*argv, *torus)
+        for argv in (
+            ("char-classes", "--check-surjectivity", "--json"),
+            ("surjectivity", "--json"),
+            ("char-classes", "--check-surjectivity"),
+            ("surjectivity",),
+        )
+    ]
+    assert [code for code, _, _ in outputs] == [0, 0, 0, 0]
+    classes, alone = (json.loads(out) for _, out, _ in outputs[:2])
+    for key in ("surjective", "certificate"):
+        assert classes[key] == alone[key]
+    classes_text, alone_text = (out.splitlines() for _, out, _ in outputs[2:])
+    assert alone_text[0].startswith("surjective: ")
+    assert classes_text[-len(alone_text):] == alone_text
+
+
 def _cli_process(*argv):
     """Run the command line in a child process that is killed after 10 s."""
     env = dict(os.environ, PYTHONPATH=str(Path(algebroids.__file__).resolve().parents[1]))

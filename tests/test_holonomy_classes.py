@@ -16,10 +16,10 @@ import pytest
 from algebroids import (
     GF2,
     NotFlatError,
-    char_class_report,
     circle_model,
     from_representation,
     holonomy_around,
+    image_dims,
     log_classes,
     sign_class,
     surjectivity_check,
@@ -140,7 +140,7 @@ def test_classes_are_gauge_invariant(name, data):
 def test_non_flat_systems_are_rejected():
     torus = torus_model()
     L = trivial_system(torus).with_edge((0, 1), 2)
-    for extract in (sign_class, log_classes, char_class_report, surjectivity_check):
+    for extract in (sign_class, log_classes, image_dims, surjectivity_check):
         with pytest.raises(NotFlatError) as err:
             extract(L)
         assert err.value.details["triangles"]

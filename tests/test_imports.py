@@ -8,6 +8,10 @@ There is no linter in the toolchain, so these walk the syntax trees:
 - only ``complexes.py`` and ``local_systems.py`` walk a spanning tree, that
   is read its ``parent`` or ``order``: every other module takes loop sums,
   holonomies and frames from the one pass each of those makes;
+- the computations do not know the output format: ``linalg``,
+  ``complexes``, ``local_systems``, ``cohomology``, ``algebroid`` and
+  ``char_classes`` import neither ``jsonio`` nor ``cli``, and no module but
+  ``cli`` imports ``cli``, which builds every report;
 - only ``local_systems.py`` sets a system's flatness, that is assigns a
   ``_violations`` attribute: every other module asks ``check_flat``, so a
   system is tagged flat only by the law or by a construction that keeps it;
@@ -100,6 +104,58 @@ def test_the_check_finds_a_tree_walk(tmp_path):
     path.write_text("def f(tree, parents):\n    for v in tree.order[1:]:\n"
                     "        yield parents[v], tree.parent[v], tree.root\n")
     assert tree_walks(path) == [(2, "order"), (3, "parent")]
+
+
+# the modules that compute, and so return objects and never report bytes
+COMPUTATIONS = {"linalg", "complexes", "local_systems", "cohomology", "algebroid", "char_classes"}
+
+
+def package_imports(path: Path) -> list:
+    """(line, module) of every package module a module imports, at any
+    depth: ``from .m import x``, ``from . import m``, ``import algebroids.m``,
+    ``from algebroids.m import x`` and ``from algebroids import m``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            parts = [alias.name.split(".") for alias in node.names]
+            found.extend((node.lineno, p[1]) for p in parts if p[0] == "algebroids" and len(p) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "algebroids":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.append((node.lineno, parts[0]))
+            else:
+                found.extend((node.lineno, alias.name) for alias in node.names)
+    return sorted(found)
+
+
+def test_the_computations_do_not_know_the_output_format():
+    stems = {path.stem for path in PACKAGE.glob("*.py")}
+    assert COMPUTATIONS <= stems
+    found = [
+        f"{path.name}:{line}: {module}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, module in package_imports(path)
+        if (module == "cli" and path.stem != "cli")
+        or (module == "jsonio" and path.stem in COMPUTATIONS)
+    ]
+    assert found == []
+
+
+def test_the_check_finds_an_import_of_the_output_format(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import os.path\nfrom .jsonio import dump_json\nfrom . import cli, linalg\n"
+                    "import algebroids.jsonio as j\nfrom algebroids.cli import main\n"
+                    "from algebroids import cohomology\nfrom json import dumps\n"
+                    "def f():\n    from .cli import main\n    return main\n")
+    assert package_imports(path) == [
+        (2, "jsonio"), (3, "cli"), (3, "linalg"), (4, "jsonio"), (5, "cli"),
+        (6, "cohomology"), (9, "cli"),
+    ]
 
 
 def flatness_writes(path: Path) -> list:

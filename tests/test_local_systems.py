@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -573,3 +574,43 @@ def test_a_step_that_is_not_an_edge_is_named(torus):
         with pytest.raises(InputError) as info:
             L.step(u, w)
         assert info.value.details == {"step": (u, w)}
+
+
+def test_gauge_transform_inverts_each_frame_once(torus, monkeypatch):
+    """One inversion per vertex, not one per edge: the 3x3 torus has 9
+    frames and 27 edges."""
+    rng = random.Random(29)
+    from conftest import rand_invertible_matrix
+
+    L = from_representation(torus, {"a": 2, "b": 3})
+    frames = {v: rand_invertible_matrix(rng, 1) for v in range(torus.vertex_count)}
+    inverse = Matrix.inverse
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    M = gauge_transform(L, frames)
+    assert len(calls) == torus.vertex_count < len(torus.edges)
+    monkeypatch.undo()
+    assert M.transport == {
+        (i, j): frames[i] * L.matrix(i, j) * frames[j].inverse() for i, j in torus.edges
+    }
+
+
+def test_a_range_of_symmetric_powers_is_bounded_by_its_summed_dimension():
+    from algebroids.local_systems import MAX_SYM_RANGE, _sym_range_rank
+
+    for rank in range(1, 5):
+        for lo in range(12):
+            for hi in range(lo, 12):
+                total = sum(math.comb(rank + k - 1, k) for k in range(lo, hi + 1))
+                if total <= MAX_SYM_RANGE:
+                    assert _sym_range_rank(rank, lo, hi) == total
+                    continue
+                with pytest.raises(InputError) as info:
+                    _sym_range_rank(rank, lo, hi)
+                assert info.value.details == {"dimension": total, "limit": MAX_SYM_RANGE}
+    assert _sym_range_rank(3, 0, 9) == MAX_SYM_RANGE == _sym_range_rank(1, 0, 219)
