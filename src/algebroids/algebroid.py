@@ -21,13 +21,13 @@ symmetric, but the symmetrization makes the resulting class independent of
 that: it is unchanged under change of splitting and commutes with pullback,
 which is what the tests pin down.
 
-An algebroid builds each derived object of a Chern-Weil computation once per
-symmetric power k: the symmetric dual Sym^k(adjoint*), the cup power
-omega^k and the untwisted H^2k.  ``invariant_sections`` and ``chern_weil``
-share them, so a query over several sections and powers dualizes the
-adjoint once and no other system.  A power k whose H^2k is the zero space
-(the base has no 2k-simplices) builds no cup power: its classes are zero
-once their sections are checked.
+An algebroid keeps the symmetric duals Sym^k(adjoint*) it builds, so
+``invariant_sections`` and ``chern_weil`` share them and a query dualizes
+the adjoint once and no other system.  The classes of all the sections of
+one power k are computed together: the cup power omega^k, the untwisted
+H^2k and the word weights are built once for them.  A power k whose H^2k is
+the zero space (the base has no 2k-simplices) builds none of these: its
+classes are zero once their sections are checked.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .cohomology import (
     _pair_pointwise,
     coboundary,
     cohomology,
-    cup,
     cup_power,
     is_flat_section,
     pullback_cochain,
@@ -72,35 +71,19 @@ from .local_systems import (
 class CommAlgebroid:
     """Validated pair (adjoint system, extension 2-cocycle).
 
-    Also holds, per symmetric power k and built on first use, the systems
-    and spaces that Chern-Weil classes of degree k are computed in."""
+    Also holds, per symmetric power k and built on first use, the symmetric
+    dual of the adjoint that degree-k invariant sections live in."""
 
     def __init__(self, adjoint: LocalSystem, omega: TwistedCochain):
         self.adjoint = adjoint
         self.omega = omega
         self._sym_duals = {}
-        self._cup_powers = []
-        self._untwisted = {}
 
     def _sym_dual(self, k: int) -> LocalSystem:
         """Sym^k of the dual adjoint: the home of degree-k invariant sections."""
         if k not in self._sym_duals:
             self._sym_duals[k] = sym_power(dual(self.adjoint), k)
         return self._sym_duals[k]
-
-    def _cup_power(self, k: int) -> TwistedCochain:
-        """omega^k, each power cupped onto the one before."""
-        powers = self._cup_powers
-        if not powers:
-            powers.append(cup_power(self.omega, 0))
-        while len(powers) <= k:
-            powers.append(cup(powers[-1], self.omega))
-        return powers[k]
-
-    def _untwisted_space(self, n: int) -> CohomologySpace:
-        if n not in self._untwisted:
-            self._untwisted[n] = untwisted_space(self.base, n)
-        return self._untwisted[n]
 
     @property
     def base(self) -> Complex:
@@ -182,31 +165,43 @@ def chern_weil(A: CommAlgebroid, phi: TwistedCochain, k: int) -> CohomologyClass
     dual; k = 0 returns the class of the constant phi itself.  A base with
     no 2k-simplices has H^{2k} = 0: phi is checked all the same, and the
     class in the zero space is returned without building omega^k."""
+    return _power_classes(A, k, [phi])[0]
+
+
+def _power_classes(A: CommAlgebroid, k: int, sections) -> list:
+    """``chern_weil`` of each of several sections of the same power k.
+    Every section is checked first; then omega^k, the untwisted H^{2k} and
+    the word weights are built once for all of them, and not at all when
+    there is no section or no 2k-simplex."""
     if k < 0:
         raise InputError("symmetric power must be nonnegative")
-    if phi.degree != 0 or phi.system != A._sym_dual(k):
-        raise NotInvariantError(
-            f"section does not live in the degree-{k} symmetric dual of the adjoint"
-        )
-    if not is_flat_section(phi):
-        raise NotInvariantError("section is not invariant under the adjoint transport")
-    if not A.base.simplices_of_dim(2 * k):
-        return CohomologyClass(2 * k, ())
+    for phi in sections:
+        if phi.degree != 0 or phi.system != A._sym_dual(k):
+            raise NotInvariantError(
+                f"section does not live in the degree-{k} symmetric dual of the adjoint"
+            )
+        if not is_flat_section(phi):
+            raise NotInvariantError("section is not invariant under the adjoint transport")
+    if not sections or not A.base.simplices_of_dim(2 * k):
+        return [CohomologyClass(2 * k, ()) for _ in sections]
     words = _word_weights(A.adjoint.rank, k)
-    weighted = {v: tuple(x[m] * w for m, w in words) for v, x in phi.values.items()}
-    paired = _pair_pointwise(weighted, A._cup_power(k))
-    return A._untwisted_space(2 * k).class_of(paired)
+    omega_k = cup_power(A.omega, k)
+    space = untwisted_space(A.base, 2 * k)
+    classes = []
+    for phi in sections:
+        weighted = {v: tuple(x[m] * w for m, w in words) for v, x in phi.values.items()}
+        classes.append(space.class_of(_pair_pointwise(weighted, omega_k)))
+    return classes
 
 
 def chern_weil_image(A: CommAlgebroid) -> dict:
     """Chern-Weil classes of a basis of invariant sections, per symmetric
     power k >= 1.  Powers whose target degree 2k exceeds the base dimension
     are omitted (their classes land in zero spaces)."""
-    out = {}
-    for k in range(1, A.base.dimension // 2 + 1):
-        sections = invariant_sections(A, k)
-        out[k] = [chern_weil(A, phi, k) for phi in sections.representatives]
-    return out
+    return {
+        k: _power_classes(A, k, invariant_sections(A, k).representatives)
+        for k in range(1, A.base.dimension // 2 + 1)
+    }
 
 
 def change_splitting(A: CommAlgebroid, eta: TwistedCochain) -> CommAlgebroid:

@@ -42,6 +42,7 @@ from .cohomology import (
     TwistedCochain,
     _cocycle_dual_to,
     _fundamental_cycle_of,
+    _matrix_from_columns,
     cup,
     evaluate_on_chain,
     untwisted_space,
@@ -313,8 +314,7 @@ def _certify_loop_dual(c: Complex, classes: dict, name: str) -> Certificate:
     primes = sorted(classes)
     columns = [classes[p].coordinates() for p in primes]
     height = len(c.tree.non_tree_edges)
-    m = Matrix(list(zip(*columns)) if columns else [()] * height, cols=len(columns))
-    solution = solve(m, target.coordinates())
+    solution = solve(_matrix_from_columns(columns, height), target.coordinates())
     if solution is None:
         raise InputError(f"loop dual {name!r} is not in the span of the log classes")
     terms = [((p,), coeff) for p, coeff in zip(primes, solution) if coeff != 0]

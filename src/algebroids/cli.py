@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .algebroid import chern_weil, invariant_sections, make_algebroid
+from .algebroid import _power_classes, invariant_sections, make_algebroid
 from .char_classes import _ClassQuery, sign_class, surjectivity_check
 # ``cohomology`` is not called here, but bench/test_oracles.py reaches the
 # cohomology module's namespace through ``cli.cohomology``.
@@ -177,7 +177,7 @@ def cmd_chern_weil(args) -> int:
     lines = []
     for k in range(args.min_k, args.max_k + 1):
         sections = invariant_sections(A, k)
-        classes = [chern_weil(A, phi, k) for phi in sections.representatives]
+        classes = _power_classes(A, k, sections.representatives)
         coordinates = [[format_rational(x) for x in cls.coordinates] for cls in classes]
         nonzero = [
             "(" + ", ".join(coords) + ")"

@@ -16,12 +16,12 @@ so bases are stable across runs.  Dimensions alone need only ranks.
 Each space keeps the echelon form of its coboundaries, so the coordinates
 of a class cost one reduction and a solve as small as the space.  A section
 is tested for flatness edge by edge, T(i, j) phi(j) == phi(i), and both that
-test and the coboundary apply each distinct transport object to each
-distinct value once per call.  A cochain keeps the test's answer, and the
-H^0 representatives are flat when built, so only sections from outside the
-package are walked.  Cochains computed by the package itself are built by
-``TwistedCochain._trusted``; the public constructor still checks and
-coerces what callers pass.
+test and the coboundary skip the product wherever the transport is the
+identity, as it is on every tree edge in tree gauge.  A cochain keeps the
+test's answer, and the H^0 representatives are flat when built, so only
+sections from outside the package are walked.  Cochains computed by the
+package itself are built by ``TwistedCochain._trusted``; the public
+constructor still checks and coerces what callers pass.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .local_systems import (
     _tree_gauge,
     dual,
     pullback_system,
+    tensor_system,
     trivial_system,
 )
 
@@ -197,34 +198,18 @@ def zero_cochain(system: LocalSystem, degree: int) -> TwistedCochain:
     return TwistedCochain(system, degree)
 
 
-def _transport_action():
-    """``T.apply(v)`` memoised by ``(id(T), v)``, for the length of one
-    call: the memo must not outlive the transports it is keyed on.  An
-    identity transport returns v itself.  In tree gauge most transports are
-    one shared identity and a flat section is constant, so a pass over every
-    edge applies each distinct transport to about one value."""
-    memo = {}
-
-    def act(t: Matrix, v: tuple) -> tuple:
-        if t.is_identity():
-            return v
-        key = (id(t), v)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = t.apply(v)
-        return out
-
-    return act
+def _act(t: Matrix, v: tuple) -> tuple:
+    """``t.apply(v)``, or v itself when t is the identity."""
+    return v if t.is_identity() else t.apply(v)
 
 
 def coboundary(phi: TwistedCochain) -> TwistedCochain:
     L = phi.system
     n = phi.degree
     values = phi.values
-    act = _transport_action()
     out = {}
     for tau in L.base.simplices_of_dim(n + 1):
-        acc = list(act(L.matrix(tau[0], tau[1]), values[tau[1:]]))
+        acc = list(_act(L.matrix(tau[0], tau[1]), values[tau[1:]]))
         sign = -1
         for i in range(1, n + 2):
             face_value = values[tau[:i] + tau[i + 1 :]]
@@ -246,9 +231,8 @@ def is_flat_section(phi: TwistedCochain) -> bool:
     if phi._flat is None:
         L = phi.system
         values = phi.values
-        act = _transport_action()
         phi._flat = all(
-            act(L.matrix(i, j), values[(j,)]) == values[(i,)] for i, j in L.base.edges
+            _act(L.matrix(i, j), values[(j,)]) == values[(i,)] for i, j in L.base.edges
         )
     return phi._flat
 
@@ -303,13 +287,11 @@ def _flat_sections(L: LocalSystem) -> list:
     distinct = {id(h): h for h in loops.values()}.values()
     blocks = [h - ident for h in distinct if not h.is_identity()]
     fixed = kernel_basis(Matrix([row for b in blocks for row in b.entries], cols=r))
-    # the frames live in ``down`` for the whole call, as the memo needs
-    act = _transport_action()
     reversed_sections = []
     for x in fixed:
         values = []
         for v in range(base.vertex_count):
-            values.extend(act(down[v], x))
+            values.extend(_act(down[v], x))
         reversed_sections.append(values[::-1])
     rank, red, _ = rref(Matrix(reversed_sections, cols=base.vertex_count * r))
     return [red.entries[i][::-1] for i in reversed(range(rank))]
@@ -530,22 +512,19 @@ def cup(alpha: TwistedCochain, beta: TwistedCochain) -> TwistedCochain:
     """Cup product over the tensor system: evaluate alpha on the front face,
     beta on the back face transported to the front vertex.  Satisfies the
     Leibniz rule, so it descends to classes."""
-    from .local_systems import tensor_system
-
     if alpha.system.base != beta.system.base:
         raise BaseMismatchError("cup product needs a common base complex")
     p, q = alpha.degree, beta.degree
     base = alpha.system.base
     system = tensor_system(alpha.system, beta.system)
     transport = beta.system.matrix
-    act = _transport_action()
     out = {}
     for sigma in base.simplices_of_dim(p + q):
         a = alpha.values[sigma[: p + 1]]
         # carry beta's value back along the front face, one edge at a time
         b = beta.values[sigma[p:]]
         for k in range(p, 0, -1):
-            b = act(transport(sigma[k - 1], sigma[k]), b)
+            b = _act(transport(sigma[k - 1], sigma[k]), b)
         out[sigma] = tuple(x * y for x in a for y in b)
     return TwistedCochain._trusted(system, p + q, out)
 
@@ -556,9 +535,8 @@ def cup_power(omega: TwistedCochain, k: int) -> TwistedCochain:
     if k < 0:
         raise InputError("cup power needs a nonnegative exponent")
     base = omega.system.base
-    out = TwistedCochain(
-        trivial_system(base, 1), 0, {(v,): (Fraction(1),) for v in range(base.vertex_count)}
-    )
+    ones = {v: (Fraction(1),) for v in base.simplices_of_dim(0)}
+    out = TwistedCochain._trusted(trivial_system(base, 1), 0, ones)
     for _ in range(k):
         out = cup(out, omega)
     return out

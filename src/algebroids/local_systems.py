@@ -62,7 +62,7 @@ from .errors import (
     UnknownGeneratorError,
     UnsupportedRankError,
 )
-from .linalg import Matrix, rref
+from .linalg import Matrix
 
 _ZERO = Fraction(0)
 
@@ -118,9 +118,14 @@ def _times(a: Matrix, b: Matrix) -> Matrix:
     return a * b
 
 
-def _require_invertible(m: Matrix, label) -> None:
-    if rref(m)[0] != m.rows:
-        raise SingularMatrixError(f"transport for {label} is singular", generator=str(label))
+def _inverted(m: Matrix, label) -> Matrix:
+    """m^-1, or the error naming the transport ``label`` as singular."""
+    try:
+        return m.inverse()
+    except SingularMatrixError:
+        raise SingularMatrixError(
+            f"transport for {label} is singular", generator=str(label)
+        ) from None
 
 
 class LocalSystem:
@@ -162,7 +167,7 @@ class LocalSystem:
         if edge not in self.transport:
             raise UnknownGeneratorError(f"{edge} is not an edge of the base")
         m = _as_matrix(value, self.rank)
-        _require_invertible(m, edge)
+        _inverted(m, edge)
         new = dict(self.transport)
         new[edge] = m
         return LocalSystem(self.base, self.rank, new)
@@ -265,8 +270,7 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
         rank = inferred
     elif rank is None:
         rank = 1
-    for key, m in matrices.items():
-        _require_invertible(m, key)
+    inverses = {key: _inverted(m, key) for key, m in matrices.items()}
 
     tree = c.tree
     for edge in explicit:
@@ -309,8 +313,9 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
             for name, e in zip(names, winding):
                 if e:
                     if (name, e) not in powers:
-                        powers[name, e] = matrices[name].power(e)
-                    m = m * powers[name, e]
+                        base = matrices[name] if e > 0 else inverses[name]
+                        powers[name, e] = base.power(abs(e))
+                    m = _times(m, powers[name, e])
             by_winding[winding] = m
         transport[edge] = m
     for edge, value in explicit.items():
@@ -373,16 +378,14 @@ def holonomy_around(L: LocalSystem, path: Sequence[int]) -> Matrix:
 def gauge_transform(L: LocalSystem, frames) -> LocalSystem:
     """Change the frame at every vertex: T'(i, j) = g_i T(i, j) g_j^{-1}.
     Gauge transforms preserve flatness and all cohomology."""
-    g = {}
+    g, inverse = {}, {}
     for v in range(L.base.vertex_count):
         try:
             value = frames[v]
         except (KeyError, IndexError):
             raise InputError(f"no frame given for vertex {v}", vertex=v) from None
-        m = _as_matrix(value, L.rank)
-        _require_invertible(m, f"vertex {v}")
-        g[v] = m
-    inverse = {v: m.inverse() for v, m in g.items()}
+        g[v] = _as_matrix(value, L.rank)
+        inverse[v] = _inverted(g[v], f"vertex {v}")
     transport = {(i, j): g[i] * L.matrix(i, j) * inverse[j] for i, j in L.base.edges}
     return LocalSystem(L.base, L.rank, transport)
 

@@ -214,16 +214,16 @@ def _patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
-def test_chern_weil_checks_act_once_per_transport_and_value(run, monkeypatch):
+def test_chern_weil_walks_a_callers_section_once_per_nonidentity_edge(run, monkeypatch):
     """A rank-3 query walks none of its sections: they are the
     representatives of an H^0 space, flat when built.  A section a caller
-    builds is walked once, applying each transport object to each value at
-    most once, and is refused when it is not flat.  The flatness law
-    multiplies no triple with an identity factor."""
+    builds is walked once, applying each edge transport that is not the
+    identity exactly once, and is refused when it is not flat.  The
+    flatness law multiplies no triple with an identity factor."""
     cohomology = sys.modules["algebroids.cohomology"]
     local_systems = sys.modules["algebroids.local_systems"]
 
-    applied = []  # per section check: (transport object, value) keys
+    applied = []  # per section check: (transport object, value) per apply
     products = []  # per flatness check: factor pairs multiplied
     frames = []  # (log, entry) of the checks running
     apply, mul = Matrix.apply, Matrix.__mul__
@@ -280,7 +280,8 @@ def test_chern_weil_checks_act_once_per_transport_and_value(run, monkeypatch):
         assert chern_weil(A, section, k) == chern_weil(A, section, k) == chern_weil(A, built, k)
         walks = [keys for keys in applied if keys]
         assert len(applied) == 3 and len(walks) == 1
-        assert len(walks[0]) == len(set(walks[0])) < len(c.edges)
+        moved = [e for e in c.edges if not built.system.matrix(*e).is_identity()]
+        assert len(walks[0]) == len(moved) < len(c.edges)
         values = dict(built.values)
         values[(5,)] = tuple(x + 1 for x in values[(5,)])
         with pytest.raises(NotInvariantError):
@@ -320,6 +321,40 @@ def test_chern_weil_builds_no_cup_power_for_a_zero_target(run, monkeypatch):
     )
     assert cupped == [2]  # 1 cup omega
     assert tensored == [3]  # the trivial line tensor the rank-3 adjoint
+
+
+def test_chern_weil_builds_a_powers_shared_work_once_for_all_its_sections(run, monkeypatch):
+    """The trivial rank-2 system has two invariant sections at k = 1, and
+    their classes share one omega^1 and one untwisted H^2.  A power with no
+    section (k = 1 of the diagonal system) builds neither."""
+    cohomology = sys.modules["algebroids.cohomology"]
+    cupped, spaces = [], []
+    cup, untwisted_space = cohomology.cup, cohomology.untwisted_space
+
+    def recording_cup(alpha, beta):
+        cupped.append(alpha.degree + beta.degree)
+        return cup(alpha, beta)
+
+    def recording_untwisted_space(c, n):
+        spaces.append(n)
+        return untwisted_space(c, n)
+
+    _patch_everywhere(monkeypatch, cup, recording_cup)
+    _patch_everywhere(monkeypatch, untwisted_space, recording_untwisted_space)
+    outs = {}
+    for name in ("rep2_trivial", "rep2_diagonal"):
+        del cupped[:], spaces[:]
+        code, out, _ = run(
+            "chern-weil", "--complex", "builtin:torus3x3",
+            "--rep-file", str(FIXTURES / f"{name}.json"),
+            "--omega", str(FIXTURES / "omega_torus3x3_rank2.json"), "--min-k", "0", "--max-k", "2",
+        )
+        assert code == 0
+        outs[name] = (out.splitlines()[1], list(cupped), list(spaces))
+    assert outs["rep2_trivial"] == (
+        "k=1: invariant sections 2, nonzero classes (10/3); (5/3)", [2], [0, 2],
+    )
+    assert outs["rep2_diagonal"] == ("k=1: invariant sections 0, image {0}", [], [0])
 
 
 def test_chern_weil_dualizes_only_the_adjoint(run, monkeypatch):

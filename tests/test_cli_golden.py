@@ -23,7 +23,10 @@ representations of the torus generators, conjugated to dense matrices, and
 per grid and rank a 2-cocycle ``omega`` and, per representation, ``omega +
 d(eta)`` for a dense 1-cochain ``eta``.  Their hashes were recorded before
 the derived local systems of a query were shared, so these rows pin that
-the sharing changes no byte.
+the sharing changes no byte.  ``rep2_trivial.json`` maps both generators to
+the identity, so its power k = 1 has two invariant sections; its rows were
+recorded while the algebroid still cached omega^k and the untwisted H^2k,
+before the classes of one power were computed together.
 """
 
 import hashlib
@@ -299,6 +302,12 @@ GOLDEN = [
      EMPTY),
     (('chern-weil', '--complex', 'builtin:torus4x4', '--rep-file', '{fx}/rep3_diagonal.json', '--omega', '{fx}/omega_deta_torus4x4_rep3_diagonal.json', '--min-k', '0', '--max-k', '2', '--json'),
      0, '96c05e9306c4d47ee73bf338eaeb3bf6e9a1c915c32f7ad5fe0507ae90da1c05',
+     EMPTY),
+    (('chern-weil', '--complex', 'builtin:torus3x3', '--rep-file', '{fx}/rep2_trivial.json', '--omega', '{fx}/omega_torus3x3_rank2.json', '--min-k', '0', '--max-k', '2'),
+     0, '77507a43b3ae01ff991ad81f16b2ac13ae2a4d2e3b2da56c54e75ee2bfdc91ae',
+     EMPTY),
+    (('chern-weil', '--complex', 'builtin:torus3x3', '--rep-file', '{fx}/rep2_trivial.json', '--omega', '{fx}/omega_torus3x3_rank2.json', '--min-k', '0', '--max-k', '2', '--json'),
+     0, 'b636c39b4b1cc02caac044019ba7f35356dec25abc93313a95f9d126c614800c',
      EMPTY),
 ]
 

@@ -5,6 +5,8 @@ There is no linter in the toolchain, so these walk the syntax trees:
 - no module imports a name it does not use: every name bound by a
   module-level ``import`` must be read somewhere in that module
   (``__init__.py`` only re-exports, so it is exempt);
+- every import is at module level: no function or method body imports,
+  so the import lints here see every name a module binds;
 - only ``complexes.py`` and ``local_systems.py`` walk a spanning tree, that
   is read its ``parent`` or ``order``: every other module takes loop sums,
   holonomies and frames from the one pass each of those makes;
@@ -74,6 +76,39 @@ def test_the_check_finds_an_unused_import(tmp_path):
     path.write_text("import os\nimport sys as system\nfrom typing import Any, Sequence\n"
                     "def f(x: Sequence):\n    return system.argv\n")
     assert unused_imports(path) == [(1, "os"), (3, "Any")]
+
+
+def function_imports(path: Path) -> list:
+    """Line of every import statement inside a function or method body, at
+    any depth."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted({
+        inner.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, functions)
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_import_inside_a_function():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in function_imports(path)
+    ]
+    assert found == []
+
+
+def test_the_check_finds_an_import_inside_a_function(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import os\nfrom . import linalg\n"
+                    "def f():\n    import sys\n    return sys\n"
+                    "class A:\n    import json\n"
+                    "    def m(self):\n        def g():\n            from .cli import main\n"
+                    "        if self:\n            from typing import Any\n        return g\n")
+    assert function_imports(path) == [4, 10, 12]
 
 
 def tree_walks(path: Path) -> list:

@@ -600,6 +600,35 @@ def test_gauge_transform_inverts_each_frame_once(torus, monkeypatch):
     }
 
 
+def test_gauge_transform_eliminates_each_frame_once(torus, monkeypatch):
+    """Inverting a frame is also its check: the 3x3 torus has 9 frames, and
+    one gauge transform runs 9 eliminations.  A singular frame is still
+    named by its vertex."""
+    import sys
+
+    from conftest import rand_invertible_matrix
+
+    rng = random.Random(31)
+    L = from_representation(torus, {"a": [[1, 1], [0, 1]], "b": [[1, 2], [0, 1]]})
+    frames = {v: rand_invertible_matrix(rng, 2) for v in range(torus.vertex_count)}
+    rref = sys.modules["algebroids.linalg"].rref
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rref(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("algebroids.") and getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", counted)
+    gauge_transform(L, frames)
+    assert len(calls) == torus.vertex_count == 9
+    frames[4] = [[1, 2], [2, 4]]
+    with pytest.raises(SingularMatrixError, match="^transport for vertex 4 is singular$") as info:
+        gauge_transform(L, frames)
+    assert info.value.details == {"generator": "vertex 4"}
+
+
 def test_a_range_of_symmetric_powers_is_bounded_by_its_summed_dimension():
     from algebroids.local_systems import MAX_SYM_RANGE, _sym_range_rank
 
