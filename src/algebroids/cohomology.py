@@ -9,19 +9,21 @@ coboundary transports the front face back to that vertex:
           + sum_{i >= 1} (-1)^i phi(v0, ..., v_i dropped, ..., v_{n+1})
 
 d squares to zero exactly when the system is flat.  Everything here is exact
-rational linear algebra: kernels, images and quotient representatives come
-from the reduced row echelon forms of the linalg module, which are unique,
-so bases are stable across runs.  Dimensions alone need only ranks.
+rational linear algebra: kernels come from the reduced row echelon forms of
+the linalg module, which are unique, and quotient representatives depend
+only on spans, so bases are stable across runs.  Dimensions alone need only
+ranks.
 
-Each space keeps the echelon form of its coboundaries, so the coordinates
-of a class cost one reduction and a solve as small as the space.  A section
-is tested for flatness edge by edge, T(i, j) phi(j) == phi(i), and both that
-test and the coboundary skip the product wherever the transport is the
-identity, as it is on every tree edge in tree gauge.  A cochain keeps the
-test's answer, and the H^0 representatives are flat when built, so only
-sections from outside the package are walked.  Cochains computed by the
-package itself are built by ``TwistedCochain._trusted``; the public
-constructor still checks and coerces what callers pass.
+Each space keeps a forward-only echelon form of its coboundaries, so the
+coordinates of a class cost one reduction and a solve as small as the
+space.  A section is tested for flatness edge by edge, T(i, j) phi(j) ==
+phi(i), and both that test and the coboundary skip the product wherever
+the transport is the identity, as it is on every tree edge in tree gauge.
+A cochain keeps the test's answer, and the H^0 representatives are flat
+when built, so only sections from outside the package are walked.
+Cochains computed by the package itself are built by
+``TwistedCochain._trusted``; the public constructor still checks and
+coerces what callers pass.
 """
 
 from __future__ import annotations
@@ -307,17 +309,20 @@ class CohomologySpace:
     """H^n of a flat system: dimension, chosen cocycle representatives, and
     coordinates of arbitrary cocycles in the chosen basis.
 
-    Built from a basis of Z^n and a spanning list of B^n.  The echelon form
-    of B^n is computed once and kept.  Representatives are the members of
-    the Z^n basis chosen greedily in order, each kept when it is not in the
-    span of B^n and the ones kept before: the choice of ``quotient_basis``.
-    A cocycle's residue modulo B^n vanishes in the pivot columns of B^n,
-    and Z^n has one more pivot column per representative, so the
-    representatives' residues restricted to those new columns form an
-    invertible dim x dim block.  The coordinates of a class are then one
-    reduction against B^n and one dim x dim solve, checked by subtracting
-    the combination from the residue; they are unique once the
-    representatives are fixed."""
+    Built from a basis of Z^n and a spanning list of B^n.  The rank form of
+    the echelon of B^n (forward elimination only, see ``linalg._RowSpace``)
+    is computed once and kept.  Representatives are the members of the Z^n
+    basis chosen greedily in order, each kept when it is not in the span of
+    B^n and the ones kept before: the choice of ``quotient_basis``, which
+    depends only on spans.  A cocycle's residue modulo B^n vanishes in the
+    pivot columns of B^n, and the echelon of Z^n extends that of B^n by one
+    pivot column per representative, so the representatives' residues
+    restricted to those new columns form an invertible dim x dim block.
+    The coordinates of a class are then one reduction against B^n and one
+    dim x dim solve, checked by subtracting the combination from the
+    residue.  They are unique once the representatives are fixed, so they
+    do not depend on the echelon form: the residue that vanishes on the
+    pivots of B^n is unique, and it is linear in the cocycle."""
 
     def __init__(self, system, degree, z_vectors=(), b_vectors=()):
         self.system = system
@@ -327,11 +332,11 @@ class CohomologySpace:
         self._rep_vectors = [v for v in z_vectors if span.add(v)]
         # the Z^n basis is independent, so B^n lies inside Z^n exactly when
         # adding B^n leaves the span at dim Z^n
-        if len(span.rows) != len(z_vectors):
+        if len(span) != len(z_vectors):
             raise NotASubspaceError(
                 "coboundaries are not all cocycles", degree=degree
             )
-        self._columns = sorted(span.rows.keys() - self._image.rows.keys())
+        self._columns = sorted(span.pivots - self._image.pivots)
         self._residues = [self._image.reduce(v) for v in self._rep_vectors]
         self._block = Matrix._trusted(
             tuple(tuple(r.get(p, _ZERO) for r in self._residues) for p in self._columns),
@@ -588,8 +593,11 @@ def _fundamental_cycle_of(space: CohomologySpace) -> dict:
     """``fundamental_cycle`` of the base of an untwisted H^2 space, with no
     elimination of its own.  The rows of the boundary d_2 are the columns of
     the untwisted coboundary d_1, the spanning list of B^2, so the space's
-    echelon form of B^2 is that of the boundary, and its free-column kernel
-    is the one ``kernel_basis`` gives, entry for entry."""
+    echelon form of B^2 spans the rows of the boundary, and its free-column
+    kernel is a basis of the boundary's kernel.  That basis is not the one
+    ``kernel_basis`` gives, but the kernel is one-dimensional on the
+    surface models and ``_normalized_cycle`` scales the vector so its first
+    nonzero is 1, so the cycle is the same."""
     c = space.system.base
     return _normalized_cycle(c, _free_column_kernel(space._image, len(c.simplices_of_dim(2))))
 

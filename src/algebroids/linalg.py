@@ -16,19 +16,23 @@ identities, transposes, inverses and reduced echelon forms) are built by
 Fractions as they are.
 
 Matrices are stored dense, but all row reduction goes through one sparse
-kernel, ``_RowSpace``: rows are ``{column: nonzero}`` dicts kept in fully
-reduced row echelon form, each vector is reduced against them in a single
-pass, and each row's pivot is its leftmost nonzero.  ``rref``,
-``kernel_basis``, ``quotient_basis``, ``solve``, ``Matrix.rank`` and
-``Matrix.inverse`` are thin wrappers over it.  The reduced row echelon form
-of a matrix is unique, so ranks, pivots, the free-column kernel basis, the
-greedy quotient representatives and the zero-free-variable solutions are
-fixed by the input alone: they are reproducible across runs and platforms
-and do not depend on the order of elimination.
+kernel, ``_RowSpace``, whose rows are ``{column: nonzero}`` dicts in one of
+two echelon forms.  ``rref``, ``kernel_basis``, ``solve``, ``Matrix.rank``
+and ``Matrix.inverse`` read the canonical one, the fully reduced row
+echelon form with each row's pivot at its leftmost nonzero.  It is unique,
+so ranks, pivots, the free-column kernel basis and the zero-free-variable
+solutions are fixed by the input alone: they are reproducible across runs
+and platforms and do not depend on the order of elimination.  Callers that
+read only a span, membership and residues, use the rank form: forward
+elimination only, each row's pivot at its rightmost nonzero, and no
+back-reduction.  ``quotient_basis`` is one.  The greedy representatives
+depend only on spans, and a residue that vanishes on a given set of pivot
+columns is unique, so what they return does not depend on the form either.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -370,17 +374,17 @@ class Matrix:
         if self.rows != self.cols:
             raise InputError("matrix power needs a square matrix")
         base = self if k >= 0 else self.inverse()
-        out = Matrix.identity(self.rows)
+        out = None  # the identity, which no product needs
         k = abs(k)
         # repeated squaring; powers of one matrix commute, so the exact
         # result equals the k-fold product
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             k >>= 1
             if k:
                 base = base * base
-        return out
+        return Matrix.identity(self.rows) if out is None else out
 
     def kron(self, other: "Matrix") -> "Matrix":
         out = []
@@ -437,27 +441,70 @@ def _subtract(target: dict, f, row: dict) -> None:
 class _RowSpace:
     """Sparse echelon accumulator: the one elimination kernel of the package.
 
-    Rows are ``{column: nonzero}`` dicts kept in fully reduced row echelon
-    form: each row's pivot is its leftmost nonzero and equals one, and no
-    other row has a nonzero in a pivot column.  A vector is reduced against
-    the rows in a single pass, and a new row is eliminated from the old rows
-    in its pivot column, so the form stays fully reduced after every
-    ``add``.  The reduced row echelon form of a span is unique, so the rows
-    do not depend on the order in which the vectors arrive.
+    Rows are ``{column: nonzero}`` dicts, one per pivot column, and each
+    row's pivot entry is one.  Two forms are kept:
+
+    - **Rank form** (the default), for callers that read only the span:
+      membership, ranks and residues.  Each row's pivot is its rightmost
+      nonzero, and a new row is not eliminated from the old ones, so there
+      is no back-reduction.  Subtracting a row with pivot p changes only
+      columns at or left of p, so ``reduce`` clears the pivot columns of a
+      vector from the right, through a max-heap of the ones it meets.
+    - **Reduced form** (``reduced=True``), the canonical one that ``rref``,
+      ``kernel_basis`` and ``solve`` print from: each row's pivot is its
+      leftmost nonzero and no other row has a nonzero in a pivot column.  A
+      vector is reduced in a single pass, and a new row is eliminated from
+      the old rows in its pivot column.  The reduced row echelon form of a
+      span is unique, so these rows do not depend on the order in which
+      the vectors arrive.
+
+    In either form the residue that ``reduce`` returns is the one vector
+    that vanishes in every pivot column and differs from the input by a
+    member of the span: two such residues differ by a member of the span
+    that vanishes in every pivot column, and in an echelon basis the row
+    with the extreme pivot of any nonzero combination is the only one with
+    a nonzero in that column.  So what a caller reads of the span, and of
+    residues against a fixed set of pivots, does not depend on the form.
     """
 
-    def __init__(self, vectors=()):
-        self.rows = {}  # pivot column -> row
+    def __init__(self, vectors=(), reduced=False):
+        self.reduced = reduced
+        self.echelon = {}  # pivot column -> row
         for vec in vectors:
             self.add(vec)
+
+    def __len__(self):
+        return len(self.echelon)
+
+    @property
+    def pivots(self):
+        """The pivot columns, as a set-like view."""
+        return self.echelon.keys()
 
     def reduce(self, vec) -> dict:
         """The residue of vec modulo the row space: zero in every pivot
         column, returned as a new sparse dict."""
         v = {j: x for j, x in enumerate(vec) if x}
-        rows = self.rows
-        for p in [j for j in v if j in rows]:
-            _subtract(v, v[p], rows[p])
+        rows = self.echelon
+        if self.reduced:
+            for p in [j for j in v if j in rows]:
+                _subtract(v, v[p], rows[p])
+            return v
+        queued = {j for j in v if j in rows}
+        heap = [-j for j in queued]
+        heapq.heapify(heap)
+        while heap:
+            p = -heapq.heappop(heap)
+            f = v.get(p)
+            if f is None:
+                continue
+            row = rows[p]
+            _subtract(v, f, row)
+            # every later pivot lies left of p, so column p stays clear
+            for j in row:
+                if j in rows and j not in queued:
+                    queued.add(j)
+                    heapq.heappush(heap, -j)
         return v
 
     def add(self, vec) -> bool:
@@ -465,22 +512,23 @@ class _RowSpace:
         residue = self.reduce(vec)
         if not residue:
             return False
-        p = min(residue)
+        p = min(residue) if self.reduced else max(residue)
         inv = _ONE / residue[p]
         new = {j: inv * x for j, x in residue.items()}
-        for row in self.rows.values():
-            f = row.get(p)
-            if f is not None:
-                _subtract(row, f, new)
-        self.rows[p] = new
+        if self.reduced:
+            for row in self.echelon.values():
+                f = row.get(p)
+                if f is not None:
+                    _subtract(row, f, new)
+        self.echelon[p] = new
         return True
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
     def copy(self) -> "_RowSpace":
-        out = _RowSpace()
-        out.rows = {p: dict(row) for p, row in self.rows.items()}
+        out = _RowSpace(reduced=self.reduced)
+        out.echelon = {p: dict(row) for p, row in self.echelon.items()}
         return out
 
 
@@ -491,35 +539,45 @@ def rref(m: Matrix):
     matrix has the nonzero rows in pivot order followed by zero rows, so it
     keeps the shape of m.
     """
-    space = _RowSpace(m.entries)
-    pivots = tuple(sorted(space.rows))
+    space = _RowSpace(m.entries, reduced=True)
+    pivots = tuple(sorted(space.echelon))
     rows = [[_ZERO] * m.cols for _ in range(m.rows)]
     for dense, p in zip(rows, pivots):
-        for j, x in space.rows[p].items():
+        for j, x in space.echelon[p].items():
             dense[j] = x
     return len(pivots), Matrix._trusted(tuple(map(tuple, rows)), m.cols), pivots
 
 
 def kernel_basis(m: Matrix) -> list:
     """Deterministic basis of the null space, one vector per free column."""
-    return _free_column_kernel(_RowSpace(m.entries), m.cols)
+    return _free_column_kernel(_RowSpace(m.entries, reduced=True), m.cols)
 
 
 def _free_column_kernel(space: _RowSpace, cols: int) -> list:
-    """The null space basis of ``kernel_basis`` for a matrix whose rows span
-    ``space`` and that has ``cols`` columns, read off the echelon form: one
-    vector per free column j, with 1 at j and minus column j of the rows at
-    their pivots."""
+    """The null space basis of a matrix whose rows span ``space`` and that
+    has ``cols`` columns, read off either echelon form: one vector per free
+    column j, with 1 at j, 0 at the other free columns, and at each pivot
+    the value that makes its row vanish.  On the reduced form that is minus
+    column j of the rows, the basis of ``kernel_basis``.  On the rank form
+    a row's other nonzeros lie left of its pivot, so the pivots are solved
+    for in ascending order; the vectors then span the same null space, but
+    as another basis of it."""
+    rows = space.echelon
+    ascending = sorted(rows)
     basis = []
     for j in range(cols):
-        if j in space.rows:
+        if j in rows:
             continue
         v = [_ZERO] * cols
         v[j] = _ONE
-        for p, row in space.rows.items():
-            x = row.get(j)
-            if x is not None:
-                v[p] = -x
+        if space.reduced:
+            for p in ascending:
+                x = rows[p].get(j)
+                if x is not None:
+                    v[p] = -x
+        else:
+            for p in ascending:
+                v[p] = -sum((x * v[k] for k, x in rows[p].items() if k != p), _ZERO)
         basis.append(tuple(v))
     return basis
 
@@ -554,10 +612,10 @@ def solve(m: Matrix, rhs: Sequence):
     if len(rhs) != m.rows:
         raise InputError("right-hand side length does not match matrix rows")
     rhs = [_coerce_rational(x) for x in rhs]
-    space = _RowSpace(row + (b,) for row, b in zip(m.entries, rhs))
-    if m.cols in space.rows:
+    space = _RowSpace((row + (b,) for row, b in zip(m.entries, rhs)), reduced=True)
+    if m.cols in space.echelon:
         return None
     x = [_ZERO] * m.cols
-    for p, row in space.rows.items():
+    for p, row in space.echelon.items():
         x[p] = row.get(m.cols, _ZERO)
     return tuple(x)

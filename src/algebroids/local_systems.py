@@ -91,11 +91,12 @@ def _as_matrix(value, rank=None) -> Matrix:
     return m
 
 
-def _once_per_object(fn):
-    """fn memoised by the identity of its matrix arguments.  The memo holds
-    each entry's arguments, so no id it is keyed on is reused while it lives,
-    and a temporary product may be a key."""
-    memo = {}
+def _once_per_object(fn, known=()):
+    """fn memoised by the identity of its matrix arguments, starting from the
+    ``known`` pairs (matrix, fn(matrix)) of a one-argument fn.  The memo
+    holds each entry's arguments, so no id it is keyed on is reused while it
+    lives, and a temporary product may be a key."""
+    memo = {(id(m),): ((m,), out) for m, out in known}
 
     def call(*matrices):
         key = tuple(map(id, matrices))
@@ -131,7 +132,7 @@ def _inverted(m: Matrix, label) -> Matrix:
 class LocalSystem:
     """Edge transports over a fixed base complex.  Immutable by convention."""
 
-    def __init__(self, base: Complex, rank: int, transport: Mapping):
+    def __init__(self, base: Complex, rank: int, transport: Mapping, inverses=()):
         if rank < 1:
             raise UnsupportedRankError("fiber dimension must be at least 1")
         missing = [e for e in base.edges if e not in transport]
@@ -140,8 +141,12 @@ class LocalSystem:
         self.base = base
         self.rank = rank
         self.transport = {e: transport[e] for e in base.edges}
-        # tree edges and trivial lines carry the identity, its own inverse
-        self._inverse = _once_per_object(lambda m: m if m.is_identity() else m.inverse())
+        # tree edges and trivial lines carry the identity, its own inverse;
+        # ``inverses`` holds (transport, inverse) pairs known without an
+        # elimination
+        self._inverse = _once_per_object(
+            lambda m: m if m.is_identity() else m.inverse(), inverses
+        )
         self._dual = None
         self._violations = None
         self._holonomy = None
@@ -288,9 +293,19 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
         for name in names
         if c.loop_cocycles.get(name) is not None
     }
-    # one matrix per distinct winding vector, and per distinct power
-    by_winding = {(0,) * len(names): ident}
     powers = {}
+
+    def power(name, e):
+        if (name, e) not in powers:
+            base = matrices[name] if e > 0 else inverses[name]
+            powers[name, e] = base.power(abs(e))
+        return powers[name, e]
+
+    # one matrix per distinct winding vector, and per distinct power; the
+    # inverse of a product of powers is the product of the inverse powers
+    # in reverse order, so no transport is inverted by an elimination
+    by_winding = {(0,) * len(names): ident}
+    known = [(matrices[edge], inverses[edge]) for edge in explicit]
     transport = {}
     for edge in c.edges:
         if edge in tree.tree_edges:
@@ -309,19 +324,18 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
         winding = tuple(winding)
         m = by_winding.get(winding)
         if m is None:
-            m = ident
+            m = m_inv = ident
             for name, e in zip(names, winding):
                 if e:
-                    if (name, e) not in powers:
-                        base = matrices[name] if e > 0 else inverses[name]
-                        powers[name, e] = base.power(abs(e))
-                    m = _times(m, powers[name, e])
+                    m = _times(m, power(name, e))
+                    m_inv = _times(power(name, -e), m_inv)
             by_winding[winding] = m
+            known.append((m, m_inv))
         transport[edge] = m
-    for edge, value in explicit.items():
+    for edge in explicit:
         transport[edge] = matrices[edge]
 
-    L = LocalSystem(c, rank, transport)
+    L = LocalSystem(c, rank, transport, known)
     violations = check_flat(L)
     if violations:
         raise RelationViolationError(
@@ -394,7 +408,8 @@ def dual(L: LocalSystem) -> LocalSystem:
     """The dual system: transports become inverse transposes, so the pairing
     of a dual section against a section is transport-invariant.  Computed
     once per system and kept on it, inverting each distinct transport
-    object once.  A tensor product is inverted as it stands, not factor by
+    object once, or not at all when the system already knows its inverse,
+    as one built by ``from_representation`` does.  A tensor product is inverted as it stands, not factor by
     factor: each distinct Kronecker transport of ``tensor_power(L, k)`` has
     size r^k and costs about r^(3k), where the duals of its k rank-r
     factors would cost about k r^3.  Flat when L is known flat."""

@@ -9,6 +9,7 @@ from algebroids import (
     Matrix,
     TwistedCochain,
     circle_model,
+    coboundary_matrix,
     from_representation,
     gauge_transform,
     simplicial_map,
@@ -126,6 +127,15 @@ def random_cochain(rng, L, degree):
         for s in L.base.simplices_of_dim(degree)
     }
     return TwistedCochain(L, degree, values)
+
+
+def image_columns(L, n) -> list:
+    """The columns of d_{n-1}, the spanning list of B^n a space is built
+    from; none for n = 0."""
+    if n == 0:
+        return []
+    d_prev = coboundary_matrix(L, n - 1)
+    return [tuple(row[j] for row in d_prev.entries) for j in range(d_prev.cols)]
 
 
 def tree_loop(tree, i, j):

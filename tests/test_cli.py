@@ -205,6 +205,31 @@ def test_chern_weil_inverts_only_adjoint_transports(run, monkeypatch):
     assert len(inverted) <= len(resolve_complex_spec("builtin:torus4x4").edges)
 
 
+@pytest.mark.parametrize("grid", ["3x3", "4x4"])
+def test_chern_weil_inverts_each_generator_once(run, monkeypatch, grid):
+    """Every transport of a system built from generator images is a product
+    of generator powers, and its inverse is built from the generators'
+    inverses: a query inverts the two generators and nothing else."""
+    inverted = []
+    inverse = Matrix.inverse
+
+    def counting_inverse(m):
+        inverted.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    code, out, _ = run(
+        "chern-weil", "--complex", f"builtin:torus{grid}",
+        "--rep-file", str(FIXTURES / "rep2_unipotent.json"),
+        "--omega", str(FIXTURES / f"omega_torus{grid}_rank2.json"),
+        "--min-k", "0", "--max-k", "2",
+    )
+    assert code == 0
+    assert "k=2:" in out
+    generators = load_json(FIXTURES / "rep2_unipotent.json")["entries"]
+    assert len(inverted) == len(generators) == 2
+
+
 def _patch_everywhere(monkeypatch, original, replacement):
     """Rebind a package function in every module namespace that holds it."""
     for name, module in list(sys.modules.items()):

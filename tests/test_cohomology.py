@@ -50,6 +50,7 @@ from algebroids.cohomology import CohomologySpace, is_flat_section
 
 from conftest import (
     circle_in_torus_maps,
+    image_columns,
     rand_fraction,
     rand_invertible_matrix,
     random_cochain,
@@ -571,13 +572,6 @@ def _gauged_systems(model, rank):
         yield kind, random_gauge(rng, L)
 
 
-def _image_columns(L, n) -> list:
-    if n == 0:
-        return []
-    d_prev = coboundary_matrix(L, n - 1)
-    return [tuple(row[j] for row in d_prev.entries) for j in range(d_prev.cols)]
-
-
 def _solve_coordinates(space, image_columns, phi):
     """The coordinates as one solve of [representatives | image] x = phi, the
     way they were computed before the space kept the echelon image; None
@@ -603,7 +597,7 @@ def test_coordinates_of_matches_one_solve_against_reps_and_image(model, rank):
     for kind, L in _gauged_systems(model, rank):
         for n in range(L.base.dimension + 1):
             space = cohomology(L, n)
-            image = _image_columns(L, n)
+            image = image_columns(L, n)
             if n > 0:
                 z = kernel_basis(coboundary_matrix(L, n))
                 assert space._rep_vectors == quotient_basis(z, image), (kind, n)
@@ -627,7 +621,7 @@ def test_coordinates_of_still_rejects_what_the_kernel_does_not_span(model):
     fails the inclusion check."""
     c = DIFFERENTIAL_BASES[model]
     L = random_gauge(random.Random(f"not-a-subspace:{model}"), trivial_system(c, 2))
-    image = _image_columns(L, 1)
+    image = image_columns(L, 1)
     boundaries = quotient_basis(image, [])
     space = CohomologySpace(L, 1, boundaries, image)
     assert space.dimension == 0

@@ -10,6 +10,9 @@ There is no linter in the toolchain, so these walk the syntax trees:
 - only ``complexes.py`` and ``local_systems.py`` walk a spanning tree, that
   is read its ``parent`` or ``order``: every other module takes loop sums,
   holonomies and frames from the one pass each of those makes;
+- only ``linalg.py`` reads the rows of a ``_RowSpace``, its ``echelon``:
+  which echelon form a span keeps is the kernel's decision, and every other
+  module asks for its ``pivots``, its length, ``reduce`` or ``contains``;
 - the computations do not know the output format: ``linalg``,
   ``complexes``, ``local_systems``, ``cohomology``, ``algebroid`` and
   ``char_classes`` import neither ``jsonio`` nor ``cli``, and no module but
@@ -139,6 +142,36 @@ def test_the_check_finds_a_tree_walk(tmp_path):
     path.write_text("def f(tree, parents):\n    for v in tree.order[1:]:\n"
                     "        yield parents[v], tree.parent[v], tree.root\n")
     assert tree_walks(path) == [(2, "order"), (3, "parent")]
+
+
+def echelon_reads(path: Path) -> list:
+    """Line of every ``.echelon`` in a module: the rows of a ``_RowSpace``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "echelon"
+    )
+
+
+def test_only_linalg_reads_the_rows_of_a_row_space():
+    found = []
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = echelon_reads(path)
+        if lines:
+            readers.add(path.stem)
+        if path.stem != "linalg":
+            found.extend(f"{path.name}:{line}: .echelon" for line in lines)
+    assert found == []
+    assert readers == {"linalg"}
+
+
+def test_the_check_finds_a_read_of_the_rows(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def f(space, m):\n    n = len(space.echelon)\n    pivots = space.pivots\n"
+                    "    return m.rows, [\n        space.echelon[p] for p in pivots]\n")
+    assert echelon_reads(path) == [2, 5]
 
 
 # the modules that compute, and so return objects and never report bytes

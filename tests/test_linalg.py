@@ -91,6 +91,9 @@ def test_power_equals_repeated_product(rows):
         for _ in range(abs(k)):
             expected = expected * (m if k > 0 else inv)
         assert m.power(k) == expected, k
+    # the first power is m itself: repeated squaring starts from no
+    # identity product
+    assert m.power(1) is m
 
 
 def test_kron_mixed_product_rule():

@@ -293,6 +293,29 @@ def test_dual_of_tensor_power_is_tensor_power_of_dual(torus, rank):
         _same_entries(dual(P), _fresh_dual(P))
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_from_representation_inverts_its_transports_from_the_generators(monkeypatch, rank):
+    """A system built from generator images carries the inverse of every
+    transport, the inverse powers multiplied in reverse order: stepping
+    against an edge and dualizing run no elimination, and give what
+    inverting each transport gives.  Explicit non-tree edges, as the
+    holonomy of a system names them, carry their inverses too."""
+    rng = random.Random(f"known-inverses:{rank}")
+    for c in (torus_grid(3, 3), torus_grid(4, 5)):
+        L = random_flat_system(rng, c, rank=rank, gauged=False)
+        for M in (L, from_representation(c, holonomy(random_gauge(rng, L)))):
+            expected = _fresh_dual(M)
+            inverted = []
+            inverse = Matrix.inverse
+            monkeypatch.setattr(Matrix, "inverse", lambda m: inverted.append(m) or inverse(m))
+            _same_entries(dual(M), expected)
+            steps = {(i, j): M.step(j, i) for i, j in c.edges}
+            monkeypatch.setattr(Matrix, "inverse", inverse)
+            assert inverted == []
+            for (i, j), back in steps.items():
+                assert back * M.matrix(i, j) == Matrix.identity(rank)
+
+
 @pytest.mark.parametrize("rank", [2, 3])
 def test_dual_is_an_involution_and_memoised(torus, rank):
     rng = random.Random(43 + rank)
