@@ -23,8 +23,9 @@ of primes, so the image words of ``brho_image``, the cup pairs of
 ``surjectivity_check`` and the fundamental-class certificate share each
 product.  ``brho_image``, ``image_dims`` and ``surjectivity_check`` are
 thin wrappers over it, and nothing it holds outlives the query.  The
-reference torus the surjectivity test compares against is built once per
-process.
+surjectivity test compares the base against the shared torus model, so
+on that model it compares one object with itself, and the loop duals it
+certifies are the windings the model keeps.
 
 This module returns objects only: the command line reads a query, its
 classes and its ``Certificate`` records, and builds every report itself.
@@ -234,7 +235,7 @@ class _ClassQuery:
         classes are read, so ``surjectivity_check`` rejects a base other
         than the torus model before it factors anything."""
         c = self.base
-        if c != _reference_torus() or set(c.named_loops) != {"a", "b"}:
+        if c != torus_model() or set(c.named_loops) != {"a", "b"}:
             raise UnsupportedBaseError("surjectivity is decided on the torus model only")
         classes = self.logs
         primes = sorted(classes)
@@ -260,11 +261,6 @@ class _ClassQuery:
             _certify_fundamental(self, cup_pairings),
         ]
         return True, certificate
-
-
-@functools.cache
-def _reference_torus() -> Complex:
-    return torus_model()
 
 
 def brho_image(L: LocalSystem) -> dict:
@@ -308,9 +304,9 @@ def surjectivity_check(L: LocalSystem) -> tuple:
 
 def _certify_loop_dual(c: Complex, classes: dict, name: str) -> Certificate:
     """Solve for a prime-class combination equal to the canonical class of
-    the named loop's dual cocycle, then verify the equality coefficient by
-    coefficient."""
-    target = canonical_edge_class(c, dict(c.loop_cocycles[name]))
+    the named loop's dual cocycle (its windings, as ``canonical_edge_class``
+    reads them), then verify the equality coefficient by coefficient."""
+    target = EdgeClass(c, c.windings(name))
     primes = sorted(classes)
     columns = [classes[p].coordinates() for p in primes]
     height = len(c.tree.non_tree_edges)

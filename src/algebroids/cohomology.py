@@ -14,9 +14,17 @@ the linalg module, which are unique, and quotient representatives depend
 only on spans, so bases are stable across runs.  Dimensions alone need only
 ranks.
 
-Each space keeps a forward-only echelon form of its coboundaries, so the
-coordinates of a class cost one reduction and a solve as small as the
-space.  A section is tested for flatness edge by edge, T(i, j) phi(j) ==
+Each space keeps a forward-only echelon form of its coboundaries and reads
+H^n off it.  With the cocycle basis in free-column form (each vector has
+its own rightmost nonzero column, which the others vanish on), every pivot
+of the coboundaries is one of those columns, and the representatives are
+the basis vectors whose column is not a pivot: the greedy choice of
+``quotient_basis``, since the span of B^n and the first basis vectors grows
+exactly at a vector whose column is not a pivot.  The coordinates of a
+class are the entries of its residue at the representatives' columns.  So
+a space costs one elimination, of B^n, and a class one reduction.
+
+A section is tested for flatness edge by edge, T(i, j) phi(j) ==
 phi(i), and both that test and the coboundary skip the product wherever
 the transport is the identity, as it is on every tree edge in tree gauge.
 A cochain keeps the test's answer, and the H^0 representatives are flat
@@ -41,14 +49,17 @@ from .errors import (
     NotFlatError,
     UnknownGeneratorError,
 )
-from .linalg import (
+# ``solve`` is not called here, but bench/test_oracles.py reaches this
+# module's namespace through ``cli.cohomology.__globals__["solve"]``.
+from .linalg import (  # noqa: F401
     Matrix,
     _RowSpace,
     _coerce_rational,
+    _free_column_form,
     _free_column_kernel,
+    _free_column_tails,
     _subtract,
     kernel_basis,
-    rref,
     solve,
 )
 from .local_systems import (
@@ -280,8 +291,8 @@ def _flat_sections(L: LocalSystem) -> list:
     the joint fixed space of the distinct holonomies (the null space of the
     stacked R x R blocks h - I), extended by the frames, and no (E R) x (V R)
     matrix is built.  The free-column kernel basis is the reduced echelon
-    basis of the null space with rightmost pivots, so that form of the
-    extended vectors is the same basis, entry for entry."""
+    basis of the null space with rightmost pivots, so the free-column form
+    of the extended vectors is the same basis, entry for entry."""
     base, r = L.base, L.rank
     down, loops = _tree_gauge(L)
     ident = Matrix.identity(r)
@@ -289,14 +300,13 @@ def _flat_sections(L: LocalSystem) -> list:
     distinct = {id(h): h for h in loops.values()}.values()
     blocks = [h - ident for h in distinct if not h.is_identity()]
     fixed = kernel_basis(Matrix([row for b in blocks for row in b.entries], cols=r))
-    reversed_sections = []
+    sections = []
     for x in fixed:
         values = []
         for v in range(base.vertex_count):
             values.extend(_act(down[v], x))
-        reversed_sections.append(values[::-1])
-    rank, red, _ = rref(Matrix(reversed_sections, cols=base.vertex_count * r))
-    return [red.entries[i][::-1] for i in reversed(range(rank))]
+        sections.append(values)
+    return _free_column_form(sections)
 
 
 def _matrix_from_columns(cols, height: int) -> Matrix:
@@ -311,37 +321,51 @@ class CohomologySpace:
 
     Built from a basis of Z^n and a spanning list of B^n.  The rank form of
     the echelon of B^n (forward elimination only, see ``linalg._RowSpace``)
-    is computed once and kept.  Representatives are the members of the Z^n
-    basis chosen greedily in order, each kept when it is not in the span of
-    B^n and the ones kept before: the choice of ``quotient_basis``, which
-    depends only on spans.  A cocycle's residue modulo B^n vanishes in the
-    pivot columns of B^n, and the echelon of Z^n extends that of B^n by one
-    pivot column per representative, so the representatives' residues
-    restricted to those new columns form an invertible dim x dim block.
-    The coordinates of a class are then one reduction against B^n and one
-    dim x dim solve, checked by subtracting the combination from the
-    residue.  They are unique once the representatives are fixed, so they
-    do not depend on the echelon form: the residue that vanishes on the
-    pivots of B^n is unique, and it is linear in the cocycle."""
+    is computed once and kept, and H^n is read off it:
+
+    - the Z^n basis is taken in free-column form (``linalg._free_column_tails``):
+      each vector has its own rightmost nonzero column, 1 there, and the
+      others vanish there.  ``kernel_basis`` and ``_flat_sections`` give
+      that form, and any other basis is brought to it first;
+    - every member of Z^n is the combination of the basis with its own
+      entries at those columns as coefficients, so B^n lies in Z^n exactly
+      when every row of its echelon is, which is checked row by row;
+    - a nonzero combination of the basis has its rightmost nonzero at the
+      column of its rightmost vector, so every pivot of B^n, the rightmost
+      nonzero of a member of Z^n, is one of those columns;
+    - the representatives are the basis vectors whose column is not a pivot
+      of B^n.
+
+    They are the greedy choice of ``quotient_basis``, each vector kept when
+    it is not in the span of B^n and the vectors before it: the span of B^n
+    and the first i vectors has the dimension i plus the number of pivots
+    right of the i-th column, since the members of B^n with pivots at or
+    left of it are combinations of those i vectors, so the span grows at
+    the i-th vector exactly when its column is not a pivot.
+
+    A cocycle's residue modulo B^n lies in Z^n and vanishes on the pivots,
+    so it is the combination of the representatives with its own entries at
+    their columns, and those entries are the coordinates of the class.  The
+    rest of the residue is checked against that combination.  The residue
+    that vanishes on the pivots of B^n is unique, so the coordinates do not
+    depend on the echelon form."""
 
     def __init__(self, system, degree, z_vectors=(), b_vectors=()):
         self.system = system
         self.degree = degree
         self._image = _RowSpace(b_vectors)
-        span = self._image.copy()
-        self._rep_vectors = [v for v in z_vectors if span.add(v)]
-        # the Z^n basis is independent, so B^n lies inside Z^n exactly when
-        # adding B^n leaves the span at dim Z^n
-        if len(span) != len(z_vectors):
+        tails = _free_column_tails(z_vectors)
+        if tails is None:
+            z_vectors = _free_column_form(z_vectors)
+            tails = _free_column_tails(z_vectors)
+        if not self._image.within(tails):
             raise NotASubspaceError(
                 "coboundaries are not all cocycles", degree=degree
             )
-        self._columns = sorted(span.pivots - self._image.pivots)
-        self._residues = [self._image.reduce(v) for v in self._rep_vectors]
-        self._block = Matrix._trusted(
-            tuple(tuple(r.get(p, _ZERO) for r in self._residues) for p in self._columns),
-            len(self._residues),
-        )
+        pivots = self._image.pivots
+        kept = [(c, v) for c, v in zip(tails, z_vectors) if c not in pivots]
+        self._rep_vectors = [v for _, v in kept]
+        self._tails = {c: tails[c] for c, _ in kept}
         self.representatives = [
             TwistedCochain._trusted(system, degree, _by_simplex(system, degree, v))
             for v in self._rep_vectors
@@ -358,10 +382,10 @@ class CohomologySpace:
         if not vec:
             return ()
         residue = self._image.reduce(vec)
-        coeffs = solve(self._block, [residue.get(p, _ZERO) for p in self._columns])
-        for c, r in zip(coeffs, self._residues):
-            if c:
-                _subtract(residue, c, r)
+        coeffs = tuple(residue.pop(c, _ZERO) for c in self._tails)
+        for f, tail in zip(coeffs, self._tails.values()):
+            if f and tail:
+                _subtract(residue, f, tail)
         if residue:
             raise NotASubspaceError("cocycle is not in the computed kernel")
         return coeffs

@@ -16,10 +16,18 @@ representation constructors use to fill in transports consistently.
 ``loop_sums`` sums an edge cochain around the loop each non-tree edge closes
 in one pass down the spanning tree; ``loop_pairing`` sums one along any
 vertex path.  Only this module and ``local_systems`` walk the tree.
+
+The built-in models are fixed by their kind and size, so ``circle_model``
+and ``torus_grid`` build each one once per process and hand every caller
+the same object, and every model keeps the windings of its named loops
+(``Complex.windings``) once computed.  Complexes are immutable by
+convention, and a shared model above all: a caller must not change its
+simplices, loops, cocycles or tree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -86,6 +94,7 @@ class Complex:
         self.loop_cocycles = dict(loop_cocycles or {})
         self.name = name
         self._sets = {n: frozenset(s) for n, s in self.simplices.items()}
+        self._windings = {}  # named loop -> its loop_sums
 
     @property
     def edges(self) -> tuple:
@@ -119,8 +128,19 @@ class Complex:
             len(self.simplices_of_dim(n)) for n in range(self.dimension + 1)
         )
 
+    def windings(self, name: str) -> dict:
+        """Per non-tree edge, in edge order, the winding of the loop that
+        edge closes around the named loop: ``loop_sums`` of the loop's
+        winding cocycle, computed once per complex and kept on it.  The
+        memo holds edges and rationals only, so it points nowhere back;
+        callers must not mutate it."""
+        out = self._windings.get(name)
+        if out is None:
+            out = self._windings[name] = loop_sums(self, self.loop_cocycles[name])
+        return out
+
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Complex)
             and self.vertex_count == other.vertex_count
             and self.simplices == other.simplices
@@ -203,9 +223,29 @@ def _require_edge_path(c: Complex, path) -> None:
         raise InputError(f"path step {step} is not an edge of the base", step=step)
 
 
+# The most built-in models a process keeps, the most recently used.  The
+# busiest traffic of the benchmark, dims_grid, asks one process for four
+# names (torus3x3 to torus6x6) and the other workloads for one or two, so
+# twice that keeps every model of such a process built once, while a
+# process that walks many sizes holds at most this many at a time.
+MAX_SHARED_MODELS = 8
+
+
+@functools.lru_cache(maxsize=MAX_SHARED_MODELS)
+def _shared_model(build, *sizes) -> Complex:
+    """``build(*sizes)``, once per builder and sizes while it stays among
+    the ``MAX_SHARED_MODELS`` most recently used."""
+    return build(*sizes)
+
+
 def circle_model(n: int = 3) -> Complex:
     """The n-gon circle.  The loop `a` runs once around 0 -> 1 -> ... -> 0
-    and its winding cocycle counts signed crossings of the wrap edge."""
+    and its winding cocycle counts signed crossings of the wrap edge.  One
+    shared model per n and process."""
+    return _shared_model(_build_circle, n)
+
+
+def _build_circle(n: int) -> Complex:
     if n < 3:
         raise SchemaError("a circle model needs at least 3 vertices")
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
@@ -225,7 +265,12 @@ def torus_grid(rows: int = 3, cols: int = 3) -> Complex:
     """Grid triangulation of the torus with the given number of rows and
     columns, each square cell split along its down-right diagonal.  Loops:
     `a` runs along row 0, `b` down column 0.  Winding cocycles divide the
-    per-edge column and row displacement by the grid period."""
+    per-edge column and row displacement by the grid period.  One shared
+    model per size and process."""
+    return _shared_model(_build_torus, rows, cols)
+
+
+def _build_torus(rows: int, cols: int) -> Complex:
     if rows < 3 or cols < 3:
         raise SchemaError("a torus grid needs at least 3 rows and 3 columns")
 

@@ -28,10 +28,18 @@ elimination only, each row's pivot at its rightmost nonzero, and no
 back-reduction.  ``quotient_basis`` is one.  The greedy representatives
 depend only on spans, and a residue that vanishes on a given set of pivot
 columns is unique, so what they return does not depend on the form either.
+
+A basis in free-column form, as ``kernel_basis`` gives it, has one
+rightmost nonzero column per vector, and the other vectors vanish there.
+``_free_column_tails`` recognizes the form and ``_free_column_form``
+brings any basis to it; membership in such a span is read off a vector's
+own entries, which ``_RowSpace.within`` uses to check an inclusion of
+spans without eliminating the larger one.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -276,9 +284,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._trusted(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n
-        )
+        """The n x n identity: one shared matrix per rank up to
+        ``_SHARED_IDENTITY_RANK``, so two identity transports of a fiber
+        compare as one object."""
+        if 0 <= n <= _SHARED_IDENTITY_RANK:
+            return _shared_identity(n)
+        return _identity_matrix(n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -423,6 +434,18 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
+def _identity_matrix(n: int) -> Matrix:
+    return Matrix._trusted(
+        tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n
+    )
+
+
+# the largest fiber a query builds is a symmetric power of at most
+# local_systems.MAX_SYM_RANK dimensions; identities up to it are shared
+_SHARED_IDENTITY_RANK = 55
+_shared_identity = functools.cache(_identity_matrix)
+
+
 def _subtract(target: dict, f, row: dict) -> None:
     """target -= f * row on sparse rows, in place; entries that cancel are
     dropped, so every stored value is nonzero."""
@@ -526,10 +549,21 @@ class _RowSpace:
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
-    def copy(self) -> "_RowSpace":
-        out = _RowSpace(reduced=self.reduced)
-        out.echelon = {p: dict(row) for p, row in self.echelon.items()}
-        return out
+    def within(self, tails: dict) -> bool:
+        """Whether the span lies inside the span of a basis in free-column
+        form, given by its ``_free_column_tails``.  A vector x lies in that
+        span exactly when x is the combination of the basis vectors with
+        its own entries at their columns as coefficients, so each row is
+        checked entry for entry, off those columns."""
+        for row in self.echelon.values():
+            rest = {j: x for j, x in row.items() if j not in tails}
+            for c, f in row.items():
+                tail = tails.get(c)
+                if tail:
+                    _subtract(rest, f, tail)
+            if rest:
+                return False
+        return True
 
 
 def rref(m: Matrix):
@@ -580,6 +614,50 @@ def _free_column_kernel(space: _RowSpace, cols: int) -> list:
                 v[p] = -sum((x * v[k] for k, x in rows[p].items() if k != p), _ZERO)
         basis.append(tuple(v))
     return basis
+
+
+def _free_column_tails(vectors):
+    """For a basis in free-column form, {column: tail} in order, or None
+    when ``vectors`` are not in that form.
+
+    In free-column form each vector has its own rightmost nonzero column,
+    the vectors come in ascending order of it, the entry there is 1, and
+    every other vector of the basis vanishes there.  ``kernel_basis`` gives
+    its basis in this form.  A vector's tail is its nonzeros left of its
+    column, ``{column: entry}``; no tail meets a column of the basis."""
+    tails = {}
+    last = -1
+    for v in vectors:
+        c = len(v) - 1
+        while c >= 0 and not v[c]:
+            c -= 1
+        if c <= last or v[c] != 1:
+            return None
+        tail = {j: x for j, x in enumerate(v[:c]) if x}
+        if not tails.keys().isdisjoint(tail):
+            return None
+        tails[c] = tail
+        last = c
+    return tails
+
+
+def _free_column_form(vectors) -> list:
+    """The basis of span(vectors) in free-column form (see
+    ``_free_column_tails``): the reduced row echelon form with rightmost
+    pivots, in ascending order of pivot.  It is unique, so it is read off
+    the canonical form of the reversed vectors."""
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        return []
+    width = len(vectors[0])
+    rows = _RowSpace((v[::-1] for v in vectors), reduced=True).echelon
+    out = []
+    for p in sorted(rows, reverse=True):
+        dense = [_ZERO] * width
+        for j, x in rows[p].items():
+            dense[width - 1 - j] = x
+        out.append(tuple(dense))
+    return out
 
 
 def quotient_basis(z_vectors, b_vectors) -> list:

@@ -16,7 +16,7 @@ gauge: tree edges carry the identity, and each non-tree edge carries the
 holonomy of the loop it closes.  ``_tree_gauge`` reads the frames and every
 loop holonomy off one pass down the tree, for ``holonomy`` and H^0, and
 ``from_representation`` reads the windings of those loops off
-``complexes.loop_sums``.  The holonomy of a system is the plain mapping
+``Complex.windings``, which each model computes once.  The holonomy of a system is the plain mapping
 {non-tree edge: Matrix} of those loops, which ``from_representation`` takes
 back as explicit edge images.
 
@@ -52,7 +52,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import Complex, SimplicialMap, _require_edge_path, loop_sums
+from .complexes import Complex, SimplicialMap, _require_edge_path
 from .errors import (
     BaseMismatchError,
     InputError,
@@ -287,11 +287,9 @@ def from_representation(c: Complex, images: Mapping, rank: int | None = None) ->
 
     ident = Matrix.identity(rank)
     names = sorted(named)
-    # every non-tree edge's winding around each named loop, one pass per name
+    # every non-tree edge's winding around each named loop, kept on the model
     sums = {
-        name: loop_sums(c, c.loop_cocycles[name])
-        for name in names
-        if c.loop_cocycles.get(name) is not None
+        name: c.windings(name) for name in names if c.loop_cocycles.get(name) is not None
     }
     powers = {}
 

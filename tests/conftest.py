@@ -60,6 +60,18 @@ def tet():
     return validate_complex(4, simps)
 
 
+def two_spheres():
+    """The boundaries of two tetrahedra sharing vertex 3: simply connected,
+    with two 2-cycles, so its top-degree H^2 has dimension 2."""
+    import itertools
+
+    simplices = []
+    for vertices in ((0, 1, 2, 3), (3, 4, 5, 6)):
+        simplices += itertools.combinations(vertices, 2)
+        simplices += itertools.combinations(vertices, 3)
+    return validate_complex(7, simplices)
+
+
 def rand_fraction(rng, lo=-4, hi=4, nonzero=False):
     while True:
         q = Fraction(rng.randint(lo, hi), rng.randint(1, 3))

@@ -17,10 +17,12 @@ from algebroids import (
     TwistedCochain,
     chern_weil,
     cochain_from_json,
+    complex_to_json,
     dump_json,
     invariant_sections,
     make_algebroid,
     representation_from_json,
+    representation_to_json,
 )
 from algebroids.cli import main
 from algebroids.jsonio import load_json, resolve_complex_spec
@@ -144,6 +146,24 @@ def test_a_chern_weil_query_leaves_no_cyclic_garbage(run):
         "Complex", "LocalSystem", "CohomologySpace", "CommAlgebroid", "TwistedCochain",
         "Matrix", "_RowSpace", "function", "cell",
     }
+
+
+def test_a_chern_weil_query_on_a_complex_file_leaves_no_cyclic_garbage(run, tmp_path):
+    """The builtin models stay alive in the model cache, so a query on a
+    complex read from a file shows whether the query's own complex,
+    systems and spaces are freed by reference counting alone."""
+    torus = resolve_complex_spec("builtin:torus3x3")
+    complex_path = tmp_path / "torus.json"
+    complex_path.write_text(dump_json(complex_to_json(torus)))
+    # the same transports, as explicit edges: a complex file has no named loops
+    rep = representation_from_json(torus, load_json(str(FIXTURES / "rep2_unipotent.json")))
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(dump_json(representation_to_json(rep)))
+    leaked = _cyclic_garbage_after(
+        run, "chern-weil", "--complex", str(complex_path), "--rep-file", str(rep_path),
+        "--omega", str(FIXTURES / "omega_torus3x3_rank2.json"), "--max-k", "2",
+    )
+    assert not leaked & {"Complex", "LocalSystem", "CohomologySpace"}
 
 
 def test_cohomology_json_is_deterministic(run):

@@ -29,12 +29,20 @@ from algebroids import (
     rref,
     solve,
     torus_grid,
+    trivial_system,
     zero_cochain,
 )
 from algebroids.cohomology import CohomologySpace
-from algebroids.linalg import _RowSpace, _free_column_kernel
+from algebroids.linalg import _RowSpace, _free_column_kernel, _free_column_tails
 
-from conftest import image_columns, rand_fraction, random_cochain, random_flat_system
+from conftest import (
+    image_columns,
+    rand_fraction,
+    random_cochain,
+    random_flat_system,
+    random_gauge,
+    two_spheres,
+)
 from dense_reference import (
     dense_kernel_basis,
     dense_quotient_basis,
@@ -231,9 +239,10 @@ def test_rank_form_kernel_spans_the_null_space():
 def test_coordinates_on_the_rank_form_match_a_dense_solve(rank):
     """The coordinates a space reads off its forward-only image of B^n are
     the first dim entries of the dense solution of [representatives | B^n]
-    x = phi, on random cocycles of gauged flat systems of each rank."""
+    x = phi, on random cocycles of gauged flat systems of each rank, also
+    where the top degree has more than one class (two spheres)."""
     rng = random.Random(f"rank-form-coordinates:{rank}")
-    for base in (circle_model(4), torus_grid(3, 3)):
+    for base in (circle_model(4), torus_grid(3, 3), two_spheres()):
         L = random_flat_system(rng, base, rank=rank, gauged=True)
         for n in range(base.dimension + 1):
             space = cohomology(L, n)
@@ -275,3 +284,63 @@ def test_a_coboundary_outside_the_cocycles_is_still_refused():
             with pytest.raises(NotASubspaceError):
                 quotient_basis(smaller, image)
     assert refused
+
+
+def test_a_basis_holding_every_pivot_but_missing_part_of_the_image_is_refused():
+    """Dropping a cocycle whose column B^1 does not pivot on leaves a
+    basis in free-column form that still holds every pivot of B^1 among
+    its columns.  Where a row of B^1 needs the dropped vector, the space is
+    refused all the same, as ``quotient_basis`` refuses it: the inclusion
+    is checked entry by entry, not read off the pivots."""
+    rng = random.Random("read-off-not-a-subspace")
+    refused = 0
+    for rank in (1, 2):
+        L = random_gauge(rng, trivial_system(torus_grid(3, 3), rank))
+        z = kernel_basis(coboundary_matrix(L, 1))
+        image = image_columns(L, 1)
+        pivots = set(_RowSpace(image).pivots)
+        width = len(z[0])
+        for i, c in enumerate(_free_column_tails(z)):
+            if c in pivots:
+                continue
+            smaller = z[:i] + z[i + 1:]
+            assert pivots <= set(_free_column_tails(smaller))
+            if _dense_rank(smaller + image, width) == _dense_rank(smaller, width):
+                CohomologySpace(L, 1, smaller, image)
+                continue
+            refused += 1
+            with pytest.raises(NotASubspaceError):
+                CohomologySpace(L, 1, smaller, image)
+            with pytest.raises(NotASubspaceError):
+                quotient_basis(smaller, image)
+    assert refused
+
+
+@pytest.mark.parametrize("base", [torus_grid(3, 3), two_spheres()])
+def test_a_foreign_cocycle_basis_is_brought_to_free_column_form(base):
+    """The constructor accepts any basis of Z^n: one that is not in
+    free-column form gives the space of the free-column basis it spans,
+    with the same representatives and coordinates."""
+    rng = random.Random(f"foreign-basis:{base.name}")
+    L = random_gauge(rng, trivial_system(base, 1))
+    dims = []
+    for n in range(1, base.dimension + 1):
+        z = kernel_basis(coboundary_matrix(L, n))
+        # reversed, doubled and each mixed with its successor: the same span
+        r = z[::-1]
+        mix = [rand_fraction(rng) for _ in r[1:]]
+        foreign = [tuple(2 * a + f * b for a, b in zip(u, w))
+                   for u, w, f in zip(r, r[1:], mix)] + [tuple(2 * a for a in r[-1])]
+        assert _free_column_tails(foreign) is None
+        assert _dense_rank(foreign, len(z[0])) == len(z)
+        image = image_columns(L, n)
+        space, reference = CohomologySpace(L, n, foreign, image), cohomology(L, n)
+        assert space._rep_vectors == reference._rep_vectors
+        assert space.dimension == reference.dimension
+        dims.append(space.dimension)
+        for _ in range(2):
+            phi = coboundary(random_cochain(rng, L, n - 1))
+            for rep in reference.representatives:
+                phi = phi + rep.scale(rand_fraction(rng))
+            assert space.coordinates_of(phi) == reference.coordinates_of(phi)
+    assert max(dims) > 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from algebroids import (
+    Complex,
     DomainMismatchError,
     FormalLog,
     GF2,
@@ -15,7 +16,10 @@ from algebroids import (
     quotient_basis,
     rref,
     solve,
+    torus_model,
+    trivial_system,
 )
+from algebroids.local_systems import MAX_SYM_RANK
 
 from conftest import rand_invertible_matrix
 
@@ -25,6 +29,26 @@ def test_matrix_identity_and_zeros():
     assert i2.is_identity()
     assert Matrix.zeros(2, 3).is_zero()
     assert i2 * i2 == i2
+
+
+def test_identities_up_to_the_largest_fiber_are_shared(monkeypatch):
+    """One identity object per rank up to MAX_SYM_RANK, so two trivial
+    lines over one model compare by identity on every edge, and call no
+    matrix or complex comparison that is not of an object with itself."""
+    for n in range(MAX_SYM_RANK + 1):
+        assert Matrix.identity(n) is Matrix.identity(n)
+        assert Matrix.identity(n).is_identity()
+    past = MAX_SYM_RANK + 1
+    assert Matrix.identity(past) == Matrix.identity(past)
+    assert Matrix.identity(past) is not Matrix.identity(past)
+    torus = torus_model()
+    first, second = trivial_system(torus, 1), trivial_system(torus, 1)
+    compared = []
+    for cls in (Matrix, Complex):
+        original = cls.__eq__
+        monkeypatch.setattr(cls, "__eq__", lambda a, b, eq=original: compared.append((a, b)) or eq(a, b))
+    assert first is not second and first == second
+    assert all(a is b for a, b in compared)
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 5), (5, 0), (0, 0), (2, 3)])
