@@ -16,16 +16,17 @@ combinations hitting each basis vector of H^1 and H^2.
 One query makes one ``_ClassQuery``.  It checks the rank and flatness
 first and then builds each derived object on first use and shares it
 with every reader: the log classes (one ``log_classes`` call, over the
-holonomy the system keeps), the untwisted H^n spaces, the fundamental
-cycle (read off the echelon form of B^2 that H^2 already holds, so the
-boundary d_2 is eliminated once), and one cochain or cup product per word
-of primes, so the image words of ``brho_image``, the cup pairs of
-``surjectivity_check`` and the fundamental-class certificate share each
-product.  ``brho_image``, ``image_dims`` and ``surjectivity_check`` are
-thin wrappers over it, and nothing it holds outlives the query.  The
-surjectivity test compares the base against the shared torus model, so
-on that model it compares one object with itself, and the loop duals it
-certifies are the windings the model keeps.
+holonomy the system keeps), the fundamental cycle, and one cochain or cup
+product per word of primes, so the image words of ``brho_image``, the cup
+pairs of ``surjectivity_check`` and the fundamental-class certificate
+share each product.  ``brho_image``, ``image_dims`` and
+``surjectivity_check`` are thin wrappers over it, and nothing it holds
+outlives the query.  What depends on the base alone is kept with the
+base: the untwisted H^n spaces (``untwisted_space``), off which the
+fundamental cycle is read, and the windings of the named loops, which
+the loop-dual certificates target.  The surjectivity test compares the
+base against the shared torus model, so on that model it compares one
+object with itself.
 
 This module returns objects only: the command line reads a query, its
 classes and its ``Certificate`` records, and builds every report itself.
@@ -39,13 +40,12 @@ from fractions import Fraction
 from typing import Mapping
 
 from .cohomology import (
-    CohomologySpace,
     TwistedCochain,
     _cocycle_dual_to,
-    _fundamental_cycle_of,
     _matrix_from_columns,
     cup,
     evaluate_on_chain,
+    fundamental_cycle,
     untwisted_space,
 )
 from .complexes import Complex, _require_edge_path, loop_pairing, loop_sums, torus_model
@@ -181,22 +181,15 @@ class _ClassQuery:
         _require_rank1_flat(L)
         self.system = L
         self.base = L.base
-        self._spaces = {}  # degree -> untwisted H^n
         self._products = {}  # word of primes -> cochain of their cup product
 
     @functools.cached_property
     def logs(self) -> dict:
         return log_classes(self.system)
 
-    def space(self, degree: int) -> CohomologySpace:
-        out = self._spaces.get(degree)
-        if out is None:
-            out = self._spaces[degree] = untwisted_space(self.base, degree)
-        return out
-
     @functools.cached_property
     def cycle(self) -> dict:
-        return _fundamental_cycle_of(self.space(2))
+        return fundamental_cycle(self.base)
 
     def product(self, word: tuple) -> TwistedCochain:
         """The left-associated cup product of the log classes of a word of
@@ -220,7 +213,7 @@ class _ClassQuery:
         kept = [p for p in sorted(classes) if span.add(classes[p].coordinates())]
         out = {1: (len(kept), [classes[p] for p in kept])}
         for degree in range(2, self.base.dimension + 1):
-            space = self.space(degree)
+            space = untwisted_space(self.base, degree)
             coord_span = _RowSpace()
             basis = []
             for word in itertools.combinations_with_replacement(kept, degree):
@@ -326,7 +319,7 @@ def _certify_loop_dual(c: Complex, classes: dict, name: str) -> Certificate:
 def _certify_fundamental(query: _ClassQuery, cup_pairings: dict) -> Certificate:
     """Scale one nonvanishing cup product to pair to 1 with the fundamental
     cycle, then verify it equals the fundamental cocycle's class in H^2."""
-    space = query.space(2)
+    space = untwisted_space(query.base, 2)
     target = space.class_of(_cocycle_dual_to(space.system, query.cycle))
     pair = next(pq for pq, v in cup_pairings.items() if v != 0)
     coeff = 1 / cup_pairings[pair]

@@ -24,6 +24,14 @@ exactly at a vector whose column is not a pivot.  The coordinates of a
 class are the entries of its residue at the representatives' columns.  So
 a space costs one elimination, of B^n, and a class one reduction.
 
+The untwisted H^n depends on the complex alone, so ``untwisted_space``
+runs that elimination once per complex and degree: it keeps the echelon,
+the tails and the representative vectors, which point to no system and
+no complex, in ``Complex._untwisted_spaces``, and wraps them around a
+fresh trivial line on every later call.  Only this module writes that
+memo, and no caller may change what it holds.  The fundamental cycle is
+read off the kept H^2.
+
 A section is tested for flatness edge by edge, T(i, j) phi(j) ==
 phi(i), and both that test and the coboundary skip the product wherever
 the transport is the identity, as it is on every tree edge in tree gauge.
@@ -351,21 +359,36 @@ class CohomologySpace:
     depend on the echelon form."""
 
     def __init__(self, system, degree, z_vectors=(), b_vectors=()):
-        self.system = system
-        self.degree = degree
-        self._image = _RowSpace(b_vectors)
+        image = _RowSpace(b_vectors)
         tails = _free_column_tails(z_vectors)
         if tails is None:
             z_vectors = _free_column_form(z_vectors)
             tails = _free_column_tails(z_vectors)
-        if not self._image.within(tails):
+        if not image.within(tails):
             raise NotASubspaceError(
                 "coboundaries are not all cocycles", degree=degree
             )
-        pivots = self._image.pivots
+        pivots = image.pivots
         kept = [(c, v) for c, v in zip(tails, z_vectors) if c not in pivots]
-        self._rep_vectors = [v for _, v in kept]
-        self._tails = {c: tails[c] for c, _ in kept}
+        self._wrap(system, degree, (image, {c: tails[c] for c, _ in kept}, [v for _, v in kept]))
+
+    @classmethod
+    def _from_kept(cls, system, degree, kept: tuple) -> "CohomologySpace":
+        """The space whose ``_kept`` data is ``kept``, over ``system``: no
+        elimination and no check, so ``kept`` must come from a space built
+        over an equal system."""
+        space = object.__new__(cls)
+        space._wrap(system, degree, kept)
+        return space
+
+    def _wrap(self, system, degree, kept: tuple) -> None:
+        # what the space computed, as plain data with no reference to a
+        # system or a complex: the rank-form echelon of B^n, the free-column
+        # tails of the representatives by column, and their vectors
+        self.system = system
+        self.degree = degree
+        self._kept = kept
+        self._image, self._tails, self._rep_vectors = kept
         self.representatives = [
             TwistedCochain._trusted(system, degree, _by_simplex(system, degree, v))
             for v in self._rep_vectors
@@ -451,10 +474,7 @@ def cohomology(L: LocalSystem, n: int) -> CohomologySpace:
     if not L.base.simplices_of_dim(n):
         return CohomologySpace(L, n)
     if n == 0:
-        space = CohomologySpace(L, 0, _flat_sections(L))
-        for phi in space.representatives:
-            phi._flat = True  # a basis vector of ker d_0
-        return space
+        return _flat_representatives(CohomologySpace(L, 0, _flat_sections(L)))
     image_columns = coboundary_matrix(L, n - 1).transpose().entries
     return CohomologySpace(L, n, kernel_basis(coboundary_matrix(L, n)), image_columns)
 
@@ -480,9 +500,31 @@ def cohomology_dims(L: LocalSystem, up_to: int | None = None) -> tuple:
     return tuple(dims)
 
 
+def _flat_representatives(space: CohomologySpace) -> CohomologySpace:
+    """Mark the representatives of an H^0 space flat: each is a basis
+    vector of ker d_0."""
+    for phi in space.representatives:
+        phi._flat = True
+    return space
+
+
 def untwisted_space(c: Complex, n: int) -> CohomologySpace:
-    """H^n with trivial rational coefficients."""
-    return cohomology(trivial_system(c, 1), n)
+    """H^n with trivial rational coefficients, over a fresh trivial line.
+
+    The first call per complex and degree runs ``cohomology`` with all its
+    checks and keeps the space's plain data (``CohomologySpace._kept``) in
+    ``Complex._untwisted_spaces``; every later call wraps that data around
+    a fresh trivial line and rebuilds only the representative cochains.  The
+    data points to no system and no complex, so the memo makes no reference
+    cycle, and it lives exactly as long as its complex."""
+    L = trivial_system(c, 1)
+    kept = c._untwisted_spaces.get(n)
+    if kept is not None:
+        space = CohomologySpace._from_kept(L, n, kept)
+        return _flat_representatives(space) if n == 0 else space
+    space = cohomology(L, n)
+    c._untwisted_spaces[n] = space._kept
+    return space
 
 
 def untwisted_class(phi: TwistedCochain) -> CohomologyClass:
@@ -609,8 +651,10 @@ def boundary_matrix(c: Complex, n: int) -> Matrix:
 def fundamental_cycle(c: Complex) -> dict:
     """The 2-cycle spanning ker of the boundary, normalized so its first
     nonzero triangle coefficient is +1.  Exists uniquely for the closed
-    surface models; anything else is rejected."""
-    return _normalized_cycle(c, kernel_basis(boundary_matrix(c, 2)))
+    surface models; anything else is rejected.  It is read off the
+    untwisted H^2 the complex keeps, so only the first call per complex
+    eliminates anything."""
+    return _fundamental_cycle_of(untwisted_space(c, 2))
 
 
 def _fundamental_cycle_of(space: CohomologySpace) -> dict:
@@ -619,9 +663,9 @@ def _fundamental_cycle_of(space: CohomologySpace) -> dict:
     the untwisted coboundary d_1, the spanning list of B^2, so the space's
     echelon form of B^2 spans the rows of the boundary, and its free-column
     kernel is a basis of the boundary's kernel.  That basis is not the one
-    ``kernel_basis`` gives, but the kernel is one-dimensional on the
-    surface models and ``_normalized_cycle`` scales the vector so its first
-    nonzero is 1, so the cycle is the same."""
+    ``kernel_basis`` of the boundary gives, but the kernel is
+    one-dimensional on the surface models and ``_normalized_cycle`` scales
+    the vector so its first nonzero is 1, so the cycle is the same."""
     c = space.system.base
     return _normalized_cycle(c, _free_column_kernel(space._image, len(c.simplices_of_dim(2))))
 

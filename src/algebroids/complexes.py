@@ -19,17 +19,19 @@ vertex path.  Only this module and ``local_systems`` walk the tree.
 
 The built-in models are fixed by their kind and size, so ``circle_model``
 and ``torus_grid`` build each one once per process and hand every caller
-the same object, and every model keeps the windings of its named loops
-(``Complex.windings``) once computed.  Complexes are immutable by
-convention, and a shared model above all: a caller must not change its
-simplices, loops, cocycles or tree.
+the same object, while the models kept stay within ``MAX_SHARED_VERTICES``.
+Whatever depends on a complex alone is kept on it once computed: the
+windings of its named loops (``Complex.windings``) and, kept by the
+``cohomology`` module, the plain data of its untwisted H^n
+(``Complex._untwisted_spaces``).  Neither memo points back to the complex.
+Complexes are immutable by convention, and a shared model above all: a
+caller must not change its simplices, loops, cocycles, tree or memos.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from collections import deque
+from collections import OrderedDict, deque
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -95,6 +97,8 @@ class Complex:
         self.name = name
         self._sets = {n: frozenset(s) for n, s in self.simplices.items()}
         self._windings = {}  # named loop -> its loop_sums
+        # degree -> the plain data of the untwisted H^n, kept by cohomology
+        self._untwisted_spaces = {}
 
     @property
     def edges(self) -> tuple:
@@ -223,19 +227,35 @@ def _require_edge_path(c: Complex, path) -> None:
         raise InputError(f"path step {step} is not an edge of the base", step=step)
 
 
-# The most built-in models a process keeps, the most recently used.  The
-# busiest traffic of the benchmark, dims_grid, asks one process for four
-# names (torus3x3 to torus6x6) and the other workloads for one or two, so
-# twice that keeps every model of such a process built once, while a
-# process that walks many sizes holds at most this many at a time.
-MAX_SHARED_MODELS = 8
+# The most vertices the built-in models a process keeps may have together;
+# the most recently used are kept, and a model larger than this alone is
+# not kept at all.  The busiest traffic of the benchmark, dims_grid, asks
+# one process for four names (torus3x3 to torus6x6, 86 vertices) and the
+# other workloads for one or two, so every model of such a process is
+# built once.  A torus from 3x3 to 30x30 takes 1.4 to 1.8 KB per vertex,
+# and 3.5 to 6.5 KB with its untwisted H^0 to H^2 kept, so the models a
+# process keeps, with their data, take about 7 MB at most.
+MAX_SHARED_VERTICES = 1000
+
+_shared_models = OrderedDict()  # (builder, sizes) -> model, oldest first
 
 
-@functools.lru_cache(maxsize=MAX_SHARED_MODELS)
 def _shared_model(build, *sizes) -> Complex:
     """``build(*sizes)``, once per builder and sizes while it stays among
-    the ``MAX_SHARED_MODELS`` most recently used."""
-    return build(*sizes)
+    the most recently used models that fit in ``MAX_SHARED_VERTICES``."""
+    key = (build, sizes)
+    model = _shared_models.get(key)
+    if model is not None:
+        _shared_models.move_to_end(key)
+        return model
+    model = build(*sizes)
+    if model.vertex_count <= MAX_SHARED_VERTICES:
+        _shared_models[key] = model
+        held = sum(m.vertex_count for m in _shared_models.values())
+        while held > MAX_SHARED_VERTICES:
+            _, old = _shared_models.popitem(last=False)
+            held -= old.vertex_count
+    return model
 
 
 def circle_model(n: int = 3) -> Complex:

@@ -18,6 +18,18 @@ from algebroids import (
     trivial_system,
     validate_complex,
 )
+from algebroids import complexes
+
+
+@pytest.fixture
+def fresh_models():
+    """An empty model cache, and an empty one again afterwards, so the
+    first query of a test builds its model and the untwisted cohomology
+    kept with it, and no model built under a test's wrappers outlives the
+    test."""
+    complexes._shared_models.clear()
+    yield
+    complexes._shared_models.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,6 @@
+import importlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -47,6 +50,7 @@ from algebroids import (
     zero_cochain,
 )
 from algebroids.cohomology import CohomologySpace, is_flat_section
+from algebroids.jsonio import complex_from_json, complex_to_json, dump_json, resolve_complex_spec
 
 from conftest import (
     circle_in_torus_maps,
@@ -682,3 +686,71 @@ def test_flat_section_test_matches_the_coboundary(model, rank):
     assert seen == {True, False}
     with pytest.raises(DegreeError):
         is_flat_section(zero_cochain(L, 1))
+
+
+def _json_copy(c):
+    """A complex read back from its JSON document: never shared, so it
+    keeps nothing until a test asks it for a space."""
+    return complex_from_json(json.loads(dump_json(complex_to_json(c))))
+
+
+KEPT_BASES = ["builtin:circle5"] + [
+    f"builtin:torus{r}x{c}" for r, c in itertools.product(range(3, 7), repeat=2)
+] + ["json:two_spheres"]
+
+
+@pytest.mark.parametrize("spec", KEPT_BASES)
+def test_a_kept_untwisted_space_matches_a_fresh_build(spec):
+    """A space wrapped around the data its complex keeps has the dimension,
+    the representatives and the coordinates of a space built afresh, and
+    still refuses a cochain that is not closed."""
+    c = _json_copy(two_spheres()) if spec == "json:two_spheres" else resolve_complex_spec(spec)
+    rng = random.Random(f"kept:{spec}")
+    for n in range(3):
+        untwisted_space(c, n)
+        assert n in c._untwisted_spaces
+        kept = untwisted_space(c, n)
+        fresh = cohomology(trivial_system(c, 1), n)
+        assert kept.system is not fresh.system and kept.system == fresh.system
+        assert kept.dimension == fresh.dimension
+        assert kept._rep_vectors == fresh._rep_vectors
+        assert [phi.vector() for phi in kept.representatives] == fresh._rep_vectors
+        if n == 0:
+            assert all(phi._flat for phi in kept.representatives)
+        L = fresh.system
+        for _ in range(3):
+            phi = zero_cochain(L, n)
+            for rep in fresh.representatives:
+                phi = phi + rep.scale(rand_fraction(rng))
+            if n > 0:
+                phi = phi + coboundary(random_cochain(rng, L, n - 1))
+            assert kept.coordinates_of(phi) == fresh.coordinates_of(phi)
+        if c.simplices_of_dim(n + 1):
+            phi = random_cochain(rng, L, n)
+            assert not coboundary(phi).is_zero()
+            for space in (kept, fresh):
+                with pytest.raises(NotClosedError):
+                    space.coordinates_of(phi)
+
+
+def test_a_kept_untwisted_space_keeps_the_subspace_checks(monkeypatch):
+    """The first build checks B^n inside Z^n and keeps nothing when the
+    check fails; a space kept on too small a kernel still refuses, when
+    wrapped again, a cocycle outside it."""
+    module = importlib.import_module("algebroids.cohomology")
+    c = _json_copy(torus_grid(3, 3))
+    L = trivial_system(c, 1)
+    image = image_columns(L, 1)
+    boundaries = quotient_basis(image, [])
+    monkeypatch.setattr(module, "kernel_basis", lambda m: boundaries[1:])
+    with pytest.raises(NotASubspaceError):
+        untwisted_space(c, 1)
+    assert 1 not in c._untwisted_spaces
+    monkeypatch.setattr(module, "kernel_basis", lambda m: boundaries)
+    assert untwisted_space(c, 1).dimension == 0
+    monkeypatch.undo()
+    loop = cohomology(L, 1).representatives[0]
+    kept = untwisted_space(c, 1)
+    assert kept.dimension == 0
+    with pytest.raises(NotASubspaceError):
+        kept.coordinates_of(loop)

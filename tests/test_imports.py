@@ -20,6 +20,10 @@ There is no linter in the toolchain, so these walk the syntax trees:
 - only ``local_systems.py`` sets a system's flatness, that is assigns a
   ``_violations`` attribute: every other module asks ``check_flat``, so a
   system is tagged flat only by the law or by a construction that keeps it;
+- only ``cohomology.py`` writes the untwisted cohomology a complex keeps,
+  its ``_untwisted_spaces``: it stores, deletes or updates an entry, or
+  rebinds the memo, so every entry is the data of a space it built with
+  every check.  ``Complex.__init__`` declares the memo empty;
 - no definition is dead: every function, method and class defined in the
   package (dunders aside) is referenced, as a name or an attribute, from
   the package or its tests;
@@ -267,6 +271,66 @@ def test_the_check_finds_a_flatness_write(tmp_path):
                     "    a, N._violations = 1, None\n    L._violations += ()\n"
                     "    M._violations: tuple = ()\n")
     assert flatness_writes(path) == [2, 4, 5, 6]
+
+
+# the dict methods that change a dict in place
+MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+
+def untwisted_writes(path: Path) -> list:
+    """Line of every write to a ``._untwisted_spaces`` memo in a module: an
+    assignment or deletion whose target holds the attribute, or a call of a
+    mutating dict method on it.  The empty declaration ``self.
+    _untwisted_spaces = {}`` is not a write."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def memo(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_untwisted_spaces"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+            if (len(targets) == 1 and memo(targets[0]) and isinstance(targets[0].value, ast.Name)
+                    and targets[0].value.id == "self" and isinstance(node.value, ast.Dict)
+                    and not node.value.keys):
+                continue
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS and memo(node.func.value)):
+            found.append(node.lineno)
+            continue
+        else:
+            continue
+        found.extend(part.lineno for target in targets for part in ast.walk(target) if memo(part))
+    return sorted(found)
+
+
+def test_only_cohomology_writes_the_kept_untwisted_cohomology():
+    found = []
+    writers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = untwisted_writes(path)
+        if lines:
+            writers.add(path.stem)
+        if path.stem != "cohomology":
+            found.extend(f"{path.name}:{line}: ._untwisted_spaces" for line in lines)
+    assert found == []
+    assert writers == {"cohomology"}
+
+
+def test_the_check_finds_a_write_to_the_kept_untwisted_cohomology(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("class C:\n    def __init__(self):\n        self._untwisted_spaces = {}\n"
+                    "def f(c, d):\n    c._untwisted_spaces[2] = d\n    print(c._untwisted_spaces.get(2))\n"
+                    "    del c._untwisted_spaces[2]\n    c._untwisted_spaces.setdefault(1, d)\n"
+                    "    c._untwisted_spaces = {}\n    c._untwisted_spaces.update({})\n"
+                    "    x, c._untwisted_spaces[0] = 1, d\n    c._untwisted_spaces |= {}\n"
+                    "    self._untwisted_spaces = {1: d}\n")
+    assert untwisted_writes(path) == [5, 7, 8, 9, 10, 11, 12, 13]
 
 
 def definitions(path: Path) -> list:

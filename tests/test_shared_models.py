@@ -1,23 +1,29 @@
 """The built-in models are built once per process and shared.
 
-Whatever depends on the base alone is shared with it: the model itself and
-the windings of its named loops.  Nothing a query does may change a shared
-model, and the number of models a process keeps is bounded.  The counts
-pinned here (row-space additions and model builds per query) show a lost
+Whatever depends on the base alone is shared with it: the model itself,
+the windings of its named loops and its untwisted cohomology.  Nothing a
+query does may change a shared model or what it keeps, and the vertices
+of the models a process keeps are bounded.  The counts pinned here
+(row-space additions, spaces and model builds per query) show a lost
 saving without a benchmark run.
 """
 
 import copy
+import gc
+import importlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
-from algebroids import circle_model, linalg, torus_grid, torus_model
+from algebroids import circle_model, linalg, torus_grid, torus_model, trivial_system
 from algebroids import complexes
 from algebroids.cli import main
 from algebroids.jsonio import builtin_complex
 
+# the package exports the function ``cohomology`` under the module's name
+COHOMOLOGY = importlib.import_module("algebroids.cohomology")
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "chern_weil"
 
 CHAR_CLASSES = ["char-classes", "--check-surjectivity", "--json", "--complex", "builtin:torus",
@@ -25,15 +31,6 @@ CHAR_CLASSES = ["char-classes", "--check-surjectivity", "--json", "--complex", "
 CHERN_WEIL = ["chern-weil", "--json", "--complex", "builtin:torus3x3",
               "--rep-file", str(FIXTURES / "rep2_unipotent.json"),
               "--omega", str(FIXTURES / "omega_torus3x3_rank2.json"), "--max-k", "2"]
-
-
-@pytest.fixture
-def fresh_models():
-    """An empty model cache, and an empty one again afterwards, so no
-    model built under a test's wrappers outlives the test."""
-    complexes._shared_model.cache_clear()
-    yield
-    complexes._shared_model.cache_clear()
 
 
 def recorder(monkeypatch, owner, name):
@@ -68,17 +65,62 @@ def test_the_constructors_hand_out_the_shared_models():
     assert torus_grid(3, 4) is not torus_grid(4, 3)
 
 
+def held_vertices():
+    return sum(c.vertex_count for c in complexes._shared_models.values())
+
+
 def test_the_cache_never_holds_more_than_its_bound(fresh_models):
-    bound = complexes.MAX_SHARED_MODELS
+    bound = complexes.MAX_SHARED_VERTICES
+    sizes = [bound // 4 + n for n in range(8)]
     built = []
-    for n in range(3, 3 + 2 * bound):
+    for n in sizes:
         built.append(circle_model(n))
-        assert complexes._shared_model.cache_info().currsize <= bound
-    assert complexes._shared_model.cache_info().currsize == bound
-    # the most recent models are kept, and an evicted one is built again
-    assert all(circle_model(3 + 2 * bound - 1 - i) is built[-1 - i] for i in range(bound))
-    again = circle_model(3)
+        assert held_vertices() <= bound
+    # the most recent models that fit are kept, and an evicted one is
+    # built again
+    assert [c.vertex_count for c in complexes._shared_models.values()] == sizes[-3:]
+    assert all(circle_model(n) is c for n, c in zip(sizes[-3:], built[-3:]))
+    again = circle_model(sizes[0])
     assert again is not built[0] and again == built[0]
+    # a model over the bound alone is handed out but not kept, and evicts
+    # nothing
+    held = list(complexes._shared_models.values())
+    large = circle_model(bound + 1)
+    assert circle_model(bound + 1) is not large
+    assert list(complexes._shared_models.values()) == held
+
+
+def test_an_evicted_or_over_budget_model_dies_with_its_query(monkeypatch, fresh_models, capsys):
+    """With the cycle collector off, a model the cache no longer holds is
+    freed by reference counting once the query that used it returns, with
+    the untwisted cohomology kept on it."""
+    models = {}
+    build = complexes.validate_complex
+
+    def keep_a_weakref(*args, **kwargs):
+        c = build(*args, **kwargs)
+        models[c.name] = weakref.ref(c)
+        return c
+
+    monkeypatch.setattr(complexes, "validate_complex", keep_a_weakref)
+    side = int(complexes.MAX_SHARED_VERTICES ** 0.5) + 1
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert main(CHAR_CLASSES) == 0
+        assert 2 in models["torus3x3"]()._untwisted_spaces
+        # over the bound alone: never kept
+        assert main(["validate", "--complex", f"builtin:torus{side}x{side}"]) == 0
+        assert models[f"torus{side}x{side}"]() is None
+        # 900 + 100 vertices more evict the oldest model, the 3x3 torus
+        for name in ("torus30x30", "torus10x10"):
+            assert main(["validate", "--complex", f"builtin:{name}"]) == 0
+        assert models["torus3x3"]() is None
+        assert models["torus10x10"]() is builtin_complex("builtin:torus10x10")
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_the_names_of_one_benchmark_run_stay_shared(fresh_models):
@@ -95,6 +137,15 @@ def _state(c):
         c.vertex_count, c.simplices, c.named_loops, c.loop_cocycles,
         tree.parent, tree.order, tree.tree_edges, tree.non_tree_edges,
     ))
+
+
+def _kept(c):
+    """The untwisted cohomology a model keeps: the kept objects, and a deep
+    copy of their plain data."""
+    kept = dict(c._untwisted_spaces)
+    return kept, copy.deepcopy({
+        n: (vars(image), tails, reps) for n, (image, tails, reps) in kept.items()
+    })
 
 
 def test_no_subcommand_changes_a_shared_model(tmp_path, capsys):
@@ -126,6 +177,17 @@ def test_no_subcommand_changes_a_shared_model(tmp_path, capsys):
         assert c.tree is tree
         assert _state(c)[1] == state
     assert torus_model() is torus and circle_model(3) is circle
+    # what the first round kept, a second round reads and does not change
+    kept = {id(c): _kept(c) for c in (torus, circle)}
+    assert 2 in kept[id(torus)][0]
+    for argv in queries:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    for c in (torus, circle):
+        objects, data = kept[id(c)]
+        assert c._untwisted_spaces.keys() == objects.keys()
+        assert all(c._untwisted_spaces[n] is objects[n] for n in objects)
+        assert _kept(c)[1] == data
 
 
 def test_loop_sums_run_once_per_named_loop_per_model(monkeypatch, fresh_models, capsys):
@@ -144,20 +206,27 @@ def test_loop_sums_run_once_per_named_loop_per_model(monkeypatch, fresh_models, 
     assert loops == [("torus3x3", "a"), ("torus3x3", "b"), ("torus4x4", "a"), ("torus4x4", "b")]
 
 
-@pytest.mark.parametrize("argv, adds", [(CHAR_CLASSES, 74), (CHERN_WEIL, 55)])
-def test_one_query_pins_its_additions_and_builds(monkeypatch, fresh_models, capsys, argv, adds):
-    """Row-space additions and model builds of one query, counted in
-    process.  Before H^n was read off the echelon of B^n, the two queries
-    made 97 and 79 additions; before the models were shared, each query
-    built its model (and the surjectivity test a second one)."""
+@pytest.mark.parametrize("argv, first, repeated", [(CHAR_CLASSES, 74, 47), (CHERN_WEIL, 55, 27)])
+def test_one_query_pins_its_additions_and_builds(monkeypatch, fresh_models, capsys, argv, first,
+                                                 repeated):
+    """Row-space additions, spaces and model builds of one query, counted
+    in process.  Before H^n was read off the echelon of B^n, the two
+    queries made 97 and 79 additions; before the models were shared, each
+    query built its model (and the surjectivity test a second one); before
+    the model kept its untwisted cohomology, every query made as many
+    additions as the first."""
     added = recorder(monkeypatch, linalg._RowSpace, "add")
     builds = recorder(monkeypatch, complexes, "validate_complex")
+    spaces = recorder(monkeypatch, COHOMOLOGY, "cohomology")
     out = []
-    for _ in range(3):
+    for adds in (first, repeated, repeated):
         added.clear()
+        spaces.clear()
         assert main(argv) == 0
         out.append(capsys.readouterr().out)
         assert len(added) == adds
+    # a repeated query builds no space of the trivial line
+    assert not [n for L, n in spaces if L == trivial_system(L.base, 1)]
     # the first query of the process builds its model, and no other does
     assert len(builds) == 1
     assert out[0] == out[1] == out[2]
