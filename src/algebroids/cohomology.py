@@ -9,10 +9,10 @@ coboundary transports the front face back to that vertex:
           + sum_{i >= 1} (-1)^i phi(v0, ..., v_i dropped, ..., v_{n+1})
 
 d squares to zero exactly when the system is flat.  Everything here is exact
-rational linear algebra: kernels come from the reduced row echelon forms of
-the linalg module, which are unique, and quotient representatives depend
-only on spans, so bases are stable across runs.  Dimensions alone need only
-ranks.
+rational linear algebra over the one forward-only echelon of the linalg
+module: kernels are read off its fully reduced rows, which are unique, and
+quotient representatives depend only on spans, so bases are stable across
+runs.  Dimensions alone need only ranks.
 
 Each space keeps a forward-only echelon form of its coboundaries and reads
 H^n off it.  With the cocycle basis in free-column form (each vector has
@@ -298,9 +298,9 @@ def _flat_sections(L: LocalSystem) -> list:
     for the holonomy h = down[i]^-1 T(i, j) down[j] of its loop.  So H^0 is
     the joint fixed space of the distinct holonomies (the null space of the
     stacked R x R blocks h - I), extended by the frames, and no (E R) x (V R)
-    matrix is built.  The free-column kernel basis is the reduced echelon
-    basis of the null space with rightmost pivots, so the free-column form
-    of the extended vectors is the same basis, entry for entry."""
+    matrix is built.  The free-column form of a span, its reduced rows with
+    rightmost pivots, is unique and is the form of ``kernel_basis``, so the
+    free-column form of the extended vectors is that basis, entry for entry."""
     base, r = L.base, L.rank
     down, loops = _tree_gauge(L)
     ident = Matrix.identity(r)
@@ -660,14 +660,15 @@ def fundamental_cycle(c: Complex) -> dict:
 def _fundamental_cycle_of(space: CohomologySpace) -> dict:
     """``fundamental_cycle`` of the base of an untwisted H^2 space, with no
     elimination of its own.  The rows of the boundary d_2 are the columns of
-    the untwisted coboundary d_1, the spanning list of B^2, so the space's
-    echelon form of B^2 spans the rows of the boundary, and its free-column
-    kernel is a basis of the boundary's kernel.  That basis is not the one
+    the untwisted coboundary d_1, which span B^2, so the reduced rows of the
+    space's echelon of B^2 span them, and their free-column kernel is a
+    basis of the boundary's kernel.  That basis is not the one
     ``kernel_basis`` of the boundary gives, but the kernel is
     one-dimensional on the surface models and ``_normalized_cycle`` scales
     the vector so its first nonzero is 1, so the cycle is the same."""
     c = space.system.base
-    return _normalized_cycle(c, _free_column_kernel(space._image, len(c.simplices_of_dim(2))))
+    triangles = len(c.simplices_of_dim(2))
+    return _normalized_cycle(c, _free_column_kernel(space._image.reduced_rows(), triangles))
 
 
 def _normalized_cycle(c: Complex, basis: list) -> dict:

@@ -16,18 +16,16 @@ identities, transposes, inverses and reduced echelon forms) are built by
 Fractions as they are.
 
 Matrices are stored dense, but all row reduction goes through one sparse
-kernel, ``_RowSpace``, whose rows are ``{column: nonzero}`` dicts in one of
-two echelon forms.  ``rref``, ``kernel_basis``, ``solve``, ``Matrix.rank``
-and ``Matrix.inverse`` read the canonical one, the fully reduced row
-echelon form with each row's pivot at its leftmost nonzero.  It is unique,
-so ranks, pivots, the free-column kernel basis and the zero-free-variable
-solutions are fixed by the input alone: they are reproducible across runs
-and platforms and do not depend on the order of elimination.  Callers that
-read only a span, membership and residues, use the rank form: forward
-elimination only, each row's pivot at its rightmost nonzero, and no
-back-reduction.  ``quotient_basis`` is one.  The greedy representatives
-depend only on spans, and a residue that vanishes on a given set of pivot
-columns is unique, so what they return does not depend on the form either.
+kernel, ``_RowSpace``: ``{column: nonzero}`` rows in one echelon form, each
+pivot at its row's rightmost nonzero, eliminated forward only.  Spans,
+membership, ranks and residues are read off it as it stands, and the
+canonical answers off its fully reduced rows (``_RowSpace.reduced_rows``),
+which are unique, so they are fixed by the input alone and not by the order
+of elimination.  ``rref``, ``kernel_basis``, ``solve``, ``Matrix.rank`` and
+``Matrix.inverse`` give the form with leftmost pivots: they eliminate the
+rows with their columns reversed and mirror the reduced rows back.  The
+greedy representatives of ``quotient_basis`` depend only on spans, and a
+residue that vanishes on a given set of pivot columns is unique.
 
 A basis in free-column form, as ``kernel_basis`` gives it, has one
 rightmost nonzero column per vector, and the other vectors vanish there.
@@ -367,6 +365,7 @@ class Matrix:
         return self.entries[i][j]
 
     def rank(self) -> int:
+        # len(_RowSpace(...)) is faster, but bench/run.py's peak RSS grows with its answers
         return rref(self)[0]
 
     def inverse(self) -> "Matrix":
@@ -464,34 +463,23 @@ def _subtract(target: dict, f, row: dict) -> None:
 class _RowSpace:
     """Sparse echelon accumulator: the one elimination kernel of the package.
 
-    Rows are ``{column: nonzero}`` dicts, one per pivot column, and each
-    row's pivot entry is one.  Two forms are kept:
+    Rows are ``{column: nonzero}`` dicts, one per pivot column.  Each row's
+    pivot is its rightmost nonzero and its pivot entry is one.  A new row is
+    not eliminated from the old ones, so there is no back-reduction while
+    rows are added.  Subtracting a row with pivot p changes only columns at
+    or left of p, so ``reduce`` clears the pivot columns of a vector from
+    the right, through a max-heap of the ones it meets.
 
-    - **Rank form** (the default), for callers that read only the span:
-      membership, ranks and residues.  Each row's pivot is its rightmost
-      nonzero, and a new row is not eliminated from the old ones, so there
-      is no back-reduction.  Subtracting a row with pivot p changes only
-      columns at or left of p, so ``reduce`` clears the pivot columns of a
-      vector from the right, through a max-heap of the ones it meets.
-    - **Reduced form** (``reduced=True``), the canonical one that ``rref``,
-      ``kernel_basis`` and ``solve`` print from: each row's pivot is its
-      leftmost nonzero and no other row has a nonzero in a pivot column.  A
-      vector is reduced in a single pass, and a new row is eliminated from
-      the old rows in its pivot column.  The reduced row echelon form of a
-      span is unique, so these rows do not depend on the order in which
-      the vectors arrive.
-
-    In either form the residue that ``reduce`` returns is the one vector
-    that vanishes in every pivot column and differs from the input by a
-    member of the span: two such residues differ by a member of the span
-    that vanishes in every pivot column, and in an echelon basis the row
-    with the extreme pivot of any nonzero combination is the only one with
-    a nonzero in that column.  So what a caller reads of the span, and of
-    residues against a fixed set of pivots, does not depend on the form.
+    The residue that ``reduce`` returns is the one vector that vanishes in
+    every pivot column and differs from the input by a member of the span:
+    two such residues differ by a member of the span that vanishes in every
+    pivot column, and in an echelon basis the row with the rightmost pivot
+    of any nonzero combination is the only one with a nonzero in that
+    column.  So the residue does not depend on the order in which the
+    vectors arrive, and neither does ``reduced_rows``.
     """
 
-    def __init__(self, vectors=(), reduced=False):
-        self.reduced = reduced
+    def __init__(self, vectors=()):
         self.echelon = {}  # pivot column -> row
         for vec in vectors:
             self.add(vec)
@@ -509,10 +497,6 @@ class _RowSpace:
         column, returned as a new sparse dict."""
         v = {j: x for j, x in enumerate(vec) if x}
         rows = self.echelon
-        if self.reduced:
-            for p in [j for j in v if j in rows]:
-                _subtract(v, v[p], rows[p])
-            return v
         queued = {j for j in v if j in rows}
         heap = [-j for j in queued]
         heapq.heapify(heap)
@@ -535,19 +519,29 @@ class _RowSpace:
         residue = self.reduce(vec)
         if not residue:
             return False
-        p = min(residue) if self.reduced else max(residue)
+        p = max(residue)
         inv = _ONE / residue[p]
-        new = {j: inv * x for j, x in residue.items()}
-        if self.reduced:
-            for row in self.echelon.values():
-                f = row.get(p)
-                if f is not None:
-                    _subtract(row, f, new)
-        self.echelon[p] = new
+        self.echelon[p] = {j: inv * x for j, x in residue.items()}
         return True
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
+
+    def reduced_rows(self) -> dict:
+        """The reduced row echelon form of the span with rightmost pivots,
+        ``{pivot: row}`` in ascending order of pivot: each row has 1 at its
+        pivot and 0 at every other pivot.  The pivots are walked in
+        ascending order, and each row subtracts the already reduced rows at
+        the other pivot columns it holds.  A reduced row is nonzero only at
+        its pivot and left of it off the pivots, so a subtraction clears
+        its column and touches no other pivot entry: one pass is enough."""
+        reduced = {}
+        for p in sorted(self.echelon):
+            row = dict(self.echelon[p])
+            for k in [k for k in row if k in reduced]:
+                _subtract(row, row[k], reduced[k])
+            reduced[p] = row
+        return reduced
 
     def within(self, tails: dict) -> bool:
         """Whether the span lies inside the span of a basis in free-column
@@ -566,6 +560,15 @@ class _RowSpace:
         return True
 
 
+def _leftmost_rows(rows, width: int) -> dict:
+    """The reduced row echelon form of ``rows`` with leftmost pivots,
+    ``{pivot: row}``: the mirror of the reduced rows of the rows with their
+    ``width`` columns reversed."""
+    last = width - 1
+    mirrored = _RowSpace(row[::-1] for row in rows).reduced_rows()
+    return {last - p: {last - j: x for j, x in row.items()} for p, row in mirrored.items()}
+
+
 def rref(m: Matrix):
     """Reduced row echelon form.
 
@@ -573,45 +576,36 @@ def rref(m: Matrix):
     matrix has the nonzero rows in pivot order followed by zero rows, so it
     keeps the shape of m.
     """
-    space = _RowSpace(m.entries, reduced=True)
-    pivots = tuple(sorted(space.echelon))
+    reduced = _leftmost_rows(m.entries, m.cols)
+    pivots = tuple(sorted(reduced))
     rows = [[_ZERO] * m.cols for _ in range(m.rows)]
     for dense, p in zip(rows, pivots):
-        for j, x in space.echelon[p].items():
+        for j, x in reduced[p].items():
             dense[j] = x
     return len(pivots), Matrix._trusted(tuple(map(tuple, rows)), m.cols), pivots
 
 
 def kernel_basis(m: Matrix) -> list:
     """Deterministic basis of the null space, one vector per free column."""
-    return _free_column_kernel(_RowSpace(m.entries, reduced=True), m.cols)
+    return _free_column_kernel(_leftmost_rows(m.entries, m.cols), m.cols)
 
 
-def _free_column_kernel(space: _RowSpace, cols: int) -> list:
-    """The null space basis of a matrix whose rows span ``space`` and that
-    has ``cols`` columns, read off either echelon form: one vector per free
-    column j, with 1 at j, 0 at the other free columns, and at each pivot
-    the value that makes its row vanish.  On the reduced form that is minus
-    column j of the rows, the basis of ``kernel_basis``.  On the rank form
-    a row's other nonzeros lie left of its pivot, so the pivots are solved
-    for in ascending order; the vectors then span the same null space, but
-    as another basis of it."""
-    rows = space.echelon
-    ascending = sorted(rows)
+def _free_column_kernel(reduced: dict, cols: int) -> list:
+    """The null space basis of the reduced rows ``reduced``, ``{pivot:
+    row}`` over ``cols`` columns: one vector per free column j, with 1 at j,
+    0 at the other free columns, and minus ``reduced[p][j]`` at each pivot
+    p.  Row p is 0 at every other pivot, so that entry makes it vanish.
+    With leftmost pivots this is the basis of ``kernel_basis``."""
     basis = []
     for j in range(cols):
-        if j in rows:
+        if j in reduced:
             continue
         v = [_ZERO] * cols
         v[j] = _ONE
-        if space.reduced:
-            for p in ascending:
-                x = rows[p].get(j)
-                if x is not None:
-                    v[p] = -x
-        else:
-            for p in ascending:
-                v[p] = -sum((x * v[k] for k, x in rows[p].items() if k != p), _ZERO)
+        for p, row in reduced.items():
+            x = row.get(j)
+            if x is not None:
+                v[p] = -x
         basis.append(tuple(v))
     return basis
 
@@ -645,17 +639,15 @@ def _free_column_form(vectors) -> list:
     """The basis of span(vectors) in free-column form (see
     ``_free_column_tails``): the reduced row echelon form with rightmost
     pivots, in ascending order of pivot.  It is unique, so it is read off
-    the canonical form of the reversed vectors."""
-    vectors = [tuple(v) for v in vectors]
+    the echelon of the vectors as they come."""
     if not vectors:
         return []
     width = len(vectors[0])
-    rows = _RowSpace((v[::-1] for v in vectors), reduced=True).echelon
     out = []
-    for p in sorted(rows, reverse=True):
+    for row in _RowSpace(vectors).reduced_rows().values():
         dense = [_ZERO] * width
-        for j, x in rows[p].items():
-            dense[width - 1 - j] = x
+        for j, x in row.items():
+            dense[j] = x
         out.append(tuple(dense))
     return out
 
@@ -690,10 +682,10 @@ def solve(m: Matrix, rhs: Sequence):
     if len(rhs) != m.rows:
         raise InputError("right-hand side length does not match matrix rows")
     rhs = [_coerce_rational(x) for x in rhs]
-    space = _RowSpace((row + (b,) for row, b in zip(m.entries, rhs)), reduced=True)
-    if m.cols in space.echelon:
+    reduced = _leftmost_rows((row + (b,) for row, b in zip(m.entries, rhs)), m.cols + 1)
+    if m.cols in reduced:
         return None
     x = [_ZERO] * m.cols
-    for p, row in space.echelon.items():
+    for p, row in reduced.items():
         x[p] = row.get(m.cols, _ZERO)
     return tuple(x)

@@ -1,16 +1,18 @@
 """Differential tests of the sparse elimination kernel.
 
-``rref``, ``kernel_basis``, ``quotient_basis`` and ``solve`` must give
-exactly what the dense reference in ``dense_reference.py`` gives, on seeded
-random rational matrices of every awkward shape.  The forward-only rank
-form of the kernel must agree with the canonical reduced form and the
-dense reference on everything a caller reads of a span: its rank,
-membership, residues and null space.
+``rref``, ``kernel_basis``, ``quotient_basis``, ``solve`` and
+``Matrix.inverse`` must give exactly what the dense reference in
+``dense_reference.py`` gives, on seeded random rational matrices of every
+awkward shape and on the sparse coboundaries of gauged flat systems, where
+elimination fills in.  The one echelon form of the kernel, forward-only
+with rightmost pivots, must agree with the dense reference on everything a
+caller reads of a span: its rank, pivots, membership, residues and null
+space; and its back-reduced rows must be the mirrored dense reduced form of
+the column-reversed rows, whatever order the rows come in.
 Ranks are also checked against sympy, and the rank-based
 ``cohomology_dims`` against the dimensions of the spaces ``cohomology``
 builds.
 """
-
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ import pytest
 from algebroids import (
     Matrix,
     NotASubspaceError,
+    SingularMatrixError,
     circle_model,
     coboundary,
     coboundary_matrix,
@@ -185,54 +188,144 @@ def _dense_rank(rows, ncols):
     return dense_rref(rows, ncols)[0]
 
 
-def test_rank_form_keeps_the_rank_of_the_reduced_form():
+def _dense_rightmost_rows(rows, ncols):
+    """The reduced rows with rightmost pivots, ``{pivot: {column: nonzero}}``,
+    by the dense reference: ``dense_rref`` of the column-reversed rows,
+    mirrored back."""
+    _, red, pivots = dense_rref([tuple(row)[::-1] for row in rows], ncols)
+    last = ncols - 1
+    return {last - p: {last - j: x for j, x in enumerate(row) if x} for p, row in zip(pivots, red)}
+
+
+def test_row_space_keeps_the_rank_and_the_pivots_of_the_dense_reference():
+    """The rank is the dense rank, and the pivots, each row's rightmost
+    nonzero, are the mirrored dense pivots of the column-reversed rows."""
     for _, m in cases():
-        rank, _, pivots = dense_rref(m.entries, m.cols)
-        forward, reduced = _RowSpace(m.entries), _RowSpace(m.entries, reduced=True)
-        assert len(forward) == len(reduced) == rank == m.rank()
-        assert tuple(sorted(reduced.pivots)) == pivots
+        space = _RowSpace(m.entries)
+        assert len(space) == _dense_rank(m.entries, m.cols) == m.rank()
+        assert sorted(space.pivots) == sorted(_dense_rightmost_rows(m.entries, m.cols))
 
 
-def test_rank_form_answers_membership_as_the_reduced_form_does():
+def test_row_space_answers_membership_as_the_dense_reference_does():
     for rng, m in cases():
-        forward, reduced = _RowSpace(m.entries), _RowSpace(m.entries, reduced=True)
+        space = _RowSpace(m.entries)
         rank = _dense_rank(m.entries, m.cols)
         for v in _probes(rng, m):
-            inside = _dense_rank(list(m.entries) + [v], m.cols) == rank
-            assert forward.contains(v) == reduced.contains(v) == inside
+            assert space.contains(v) == (_dense_rank(list(m.entries) + [v], m.cols) == rank)
 
 
-def test_rank_form_residues_vanish_on_the_pivots_and_differ_by_the_span():
+def test_row_space_residues_vanish_on_the_pivots_and_differ_by_the_span():
     """Each residue is zero in every pivot column, and the vector minus its
     residue lies in the span.  A residue with those two properties is
-    unique, so on the rank form too ``reduce`` is linear, whatever order
-    its heap cleared the pivots in."""
+    unique, so it is the dense one, the vector minus its entries at the
+    pivots times the dense reduced rows, and ``reduce`` is linear, whatever
+    order its heap cleared the pivots in."""
+    zero = Fraction(0)
     for rng, m in cases():
         rank = _dense_rank(m.entries, m.cols)
-        for space in (_RowSpace(m.entries), _RowSpace(m.entries, reduced=True)):
-            for v in _probes(rng, m):
-                residue = space.reduce(v)
-                assert all(x for x in residue.values())
-                assert not residue.keys() & space.pivots
-                moved = tuple(x - residue.get(j, Fraction(0)) for j, x in enumerate(v))
-                assert _dense_rank(list(m.entries) + [moved], m.cols) == rank
-        forward = _RowSpace(m.entries)
+        dense = _dense_rightmost_rows(m.entries, m.cols)
+        space = _RowSpace(m.entries)
+        for v in _probes(rng, m):
+            residue = space.reduce(v)
+            assert all(x for x in residue.values())
+            assert not residue.keys() & space.pivots
+            moved = tuple(x - residue.get(j, zero) for j, x in enumerate(v))
+            assert _dense_rank(list(m.entries) + [moved], m.cols) == rank
+            expected = list(v)
+            for p, row in dense.items():
+                f = v[p]
+                for j, x in row.items():
+                    expected[j] -= f * x
+            assert residue == {j: x for j, x in enumerate(expected) if x}
         u, w = _probes(rng, m)[-2:]
         a, b = _entry(rng), _entry(rng)
-        combined = forward.reduce(tuple(a * x + b * y for x, y in zip(u, w)))
-        ru, rw = forward.reduce(u), forward.reduce(w)
-        zero = Fraction(0)
+        combined = space.reduce(tuple(a * x + b * y for x, y in zip(u, w)))
+        ru, rw = space.reduce(u), space.reduce(w)
         expected = {j: a * ru.get(j, zero) + b * rw.get(j, zero) for j in ru.keys() | rw.keys()}
         assert combined == {j: x for j, x in expected.items() if x}
 
 
-def test_rank_form_kernel_spans_the_null_space():
+def test_free_column_kernel_of_the_reduced_rows_is_the_dense_null_space():
+    """On the reduced rows with rightmost pivots the free-column kernel has
+    minus column j of the dense reduced rows at the pivots: a basis of the
+    dense null space, one vector per free column."""
     for _, m in cases():
-        basis = _free_column_kernel(_RowSpace(m.entries), m.cols)
+        basis = _free_column_kernel(_RowSpace(m.entries).reduced_rows(), m.cols)
+        dense = _dense_rightmost_rows(m.entries, m.cols)
+        expected = []
+        for j in range(m.cols):
+            if j not in dense:
+                v = [Fraction(0)] * m.cols
+                v[j] = Fraction(1)
+                for p, row in dense.items():
+                    v[p] = -row.get(j, Fraction(0))
+                expected.append(tuple(v))
+        assert basis == expected
         assert len(basis) == len(dense_kernel_basis(m))
         assert _dense_rank(basis, m.cols) == len(basis)
         for v in basis:
             assert not any(m.apply(v))
+
+
+def test_reduced_rows_are_the_unique_dense_form_in_any_row_order():
+    """The back-reduced rows are the mirrored ``dense_rref`` of the
+    column-reversed rows, in ascending order of pivot, and the same for
+    seeded permutations of the input rows, on every kind of ``cases()``."""
+    for rng, m in cases():
+        expected = _dense_rightmost_rows(m.entries, m.cols)
+        rows = list(m.entries)
+        for _ in range(3):
+            reduced = _RowSpace(rows).reduced_rows()
+            assert reduced == expected
+            assert list(reduced) == sorted(reduced)
+            for p, row in reduced.items():
+                assert row[p] == 1 and max(row) == p and all(row.values())
+                assert not row.keys() & (reduced.keys() - {p})
+            rng.shuffle(rows)
+
+
+def _sparse_coboundaries():
+    """d_0 and d_1 of seeded gauged flat systems of rank 1 to 3 over the
+    3x3 torus and two spheres: sparse rows whose elimination fills in."""
+    for base in (torus_grid(3, 3), two_spheres()):
+        for rank in (1, 2, 3):
+            rng = random.Random(f"sparse-fill:{base.counts()}:{rank}")
+            L = random_flat_system(rng, base, rank=rank, gauged=True)
+            for n in (0, 1):
+                yield rng, coboundary_matrix(L, n)
+
+
+def test_sparse_coboundaries_match_the_dense_reference():
+    for rng, m in _sparse_coboundaries():
+        rank, red, pivots = rref(m)
+        assert (rank, red.entries, pivots) == dense_rref(m.entries, m.cols)
+        assert kernel_basis(m) == dense_kernel_basis(m)
+        x = [_entry(rng) for _ in range(m.cols)]
+        for rhs in (m.apply(x), [_entry(rng) for _ in range(m.rows)]):
+            assert solve(m, rhs) == dense_solve(m, rhs)
+        assert solve(m, m.apply(x)) is not None
+
+
+def test_inverse_matches_the_dense_reduced_form_of_the_augmented_matrix():
+    """``Matrix.inverse`` is the right block of ``dense_rref`` of [A | I],
+    or refuses A when its left block has a rank below n, on seeded
+    invertible and singular matrices from 0x0 up."""
+    rng = random.Random("inverse-against-dense")
+    singular = 0
+    for n in (0, 1, 1, 2, 3, 4, 5) * 4:
+        m = Matrix(_rows(rng, n, n), cols=n)
+        if n > 1 and rng.random() < 0.3:
+            # a repeated row, so singular for certain
+            m = Matrix(list(m.entries[:-1]) + [m.entries[0]], cols=n)
+        ident = Matrix.identity(n).entries
+        _, red, _ = dense_rref([r + i for r, i in zip(m.entries, ident)], 2 * n)
+        if _dense_rank(m.entries, n) < n:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+            continue
+        assert m.inverse().entries == tuple(row[n:] for row in red)
+    assert singular
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

@@ -11,8 +11,11 @@ There is no linter in the toolchain, so these walk the syntax trees:
   is read its ``parent`` or ``order``: every other module takes loop sums,
   holonomies and frames from the one pass each of those makes;
 - only ``linalg.py`` reads the rows of a ``_RowSpace``, its ``echelon``:
-  which echelon form a span keeps is the kernel's decision, and every other
-  module asks for its ``pivots``, its length, ``reduce`` or ``contains``;
+  every other module asks for its ``pivots``, its length, ``reduce``,
+  ``contains`` or ``reduced_rows``;
+- a ``_RowSpace`` has one echelon form: no call in the package or its
+  tests passes it a keyword or a second argument, so a second form cannot
+  come back as a flag;
 - the computations do not know the output format: ``linalg``,
   ``complexes``, ``local_systems``, ``cohomology``, ``algebroid`` and
   ``char_classes`` import neither ``jsonio`` nor ``cli``, and no module but
@@ -179,6 +182,42 @@ def test_the_check_finds_a_read_of_the_rows(tmp_path):
     path.write_text("def f(space, m):\n    n = len(space.echelon)\n    pivots = space.pivots\n"
                     "    return m.rows, [\n        space.echelon[p] for p in pivots]\n")
     assert echelon_reads(path) == [2, 5]
+
+
+def row_space_options(path: Path) -> list:
+    """Line of every call of ``_RowSpace``, by name or as an attribute, that
+    passes a keyword, more than one argument or an unpacked argument."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "_RowSpace" and (
+            node.keywords or len(node.args) > 1
+            or any(isinstance(a, ast.Starred) for a in node.args)
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_a_row_space_has_one_form():
+    found = [
+        f"{path.parent.name}/{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        for line in row_space_options(path)
+    ]
+    assert found == []
+
+
+def test_the_check_finds_an_option_passed_to_a_row_space(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from algebroids import linalg\nfrom algebroids.linalg import _RowSpace\n"
+                    "a = _RowSpace()\nb = _RowSpace([(1, 0)])\nc = _RowSpace([], reduced=True)\n"
+                    "d = linalg._RowSpace(rows, True)\ne = linalg._RowSpace(rows)\n"
+                    "f = _RowSpace(**options)\ng = _RowSpace(*parts)\nh = RowSpace([], True)\n")
+    assert row_space_options(path) == [5, 6, 8, 9]
 
 
 # the modules that compute, and so return objects and never report bytes
