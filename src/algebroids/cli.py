@@ -67,9 +67,13 @@ def _parse_inline_rep(c: Complex, text: str, rank: int | None) -> LocalSystem:
 
 
 def _load_system(args, c: Complex) -> LocalSystem:
-    if getattr(args, "rep", None):
-        return _parse_inline_rep(c, args.rep, getattr(args, "rank", None))
-    if getattr(args, "rep_file", None):
+    if args.rep and args.rep_file:
+        raise InputError("--rep and --rep-file both give a representation; pass one")
+    if args.rank is not None and not args.rep:
+        raise InputError("--rank applies only to an inline --rep")
+    if args.rep:
+        return _parse_inline_rep(c, args.rep, args.rank)
+    if args.rep_file:
         return representation_from_json(c, load_json(args.rep_file))
     raise InputError("no representation given; use --rep or --rep-file")
 
@@ -121,11 +125,17 @@ def _validation_report(args, base: Complex, label: str, L, omega_closed: bool) -
 
 def cmd_validate(args) -> int:
     if args.algebroid:
+        # the bundle holds its own complex, adjoint and omega
+        for option in ("complex", "rep", "rep_file", "rank", "omega"):
+            if getattr(args, option) is not None:
+                flag = "--" + option.replace("_", "-")
+                raise InputError(f"--algebroid cannot be combined with {flag}", option=flag)
         A = algebroid_from_json(load_json(args.algebroid))
         return _validation_report(args, A.base, "adjoint", A.adjoint, True)
     c = resolve_complex_spec(args.complex)
     L, omega_closed = None, False
-    if args.rep or args.rep_file:
+    # omega lives in the representation, so it needs one
+    if args.rep or args.rep_file or args.rank is not None or args.omega:
         L = _load_system(args, c)
         if args.omega:
             make_algebroid(L, _load_omega(args, L))
@@ -142,8 +152,9 @@ def cmd_cohomology(args) -> int:
         raise DegreeError("cohomology degree must be nonnegative")
     else:
         degrees = [args.degree]
-    all_dims = cohomology_dims(L, up_to=degrees[-1])
-    dims = {n: all_dims[n] for n in degrees}
+    # no n-cochains above the base dimension, so H^n = 0 there
+    all_dims = cohomology_dims(L, up_to=min(degrees[-1], c.dimension))
+    dims = {n: all_dims[n] if n <= c.dimension else 0 for n in degrees}
     _emit(
         args,
         {

@@ -18,9 +18,10 @@ Each space keeps a forward-only echelon form of its coboundaries and reads
 H^n off it.  With the cocycle basis in free-column form (each vector has
 its own rightmost nonzero column, which the others vanish on), every pivot
 of the coboundaries is one of those columns, and the representatives are
-the basis vectors whose column is not a pivot: the greedy choice of
-``quotient_basis``, since the span of B^n and the first basis vectors grows
-exactly at a vector whose column is not a pivot.  The coordinates of a
+the basis vectors whose column is not a pivot.  That is the greedy choice:
+walking the basis in order, a vector is kept exactly when it is not in the
+span of B^n and the vectors before it, and that span grows exactly at a
+vector whose column is not a pivot.  The coordinates of a
 class are the entries of its residue at the representatives' columns.  So
 a space costs one elimination, of B^n, and a class one reduction.
 
@@ -47,14 +48,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import Complex, SimplicialMap, _require_edge_path, loop_pairing
+from .complexes import Complex, SimplicialMap
 from .errors import (
     BaseMismatchError,
     DegreeError,
     InputError,
     NotASubspaceError,
     NotClosedError,
-    NotFlatError,
     UnknownGeneratorError,
 )
 # ``solve`` is not called here, but bench/test_oracles.py reaches this
@@ -74,7 +74,6 @@ from .local_systems import (
     LocalSystem,
     _require_flat,
     _tree_gauge,
-    dual,
     pullback_system,
     tensor_system,
     trivial_system,
@@ -344,12 +343,12 @@ class CohomologySpace:
     - the representatives are the basis vectors whose column is not a pivot
       of B^n.
 
-    They are the greedy choice of ``quotient_basis``, each vector kept when
-    it is not in the span of B^n and the vectors before it: the span of B^n
-    and the first i vectors has the dimension i plus the number of pivots
-    right of the i-th column, since the members of B^n with pivots at or
-    left of it are combinations of those i vectors, so the span grows at
-    the i-th vector exactly when its column is not a pivot.
+    They are the greedy choice: walking the basis in order, each vector is
+    kept when it is not in the span of B^n and the vectors before it.  The
+    span of B^n and the first i vectors has the dimension i plus the number
+    of pivots right of the i-th column, since the members of B^n with pivots
+    at or left of it are combinations of those i vectors, so the span grows
+    at the i-th vector exactly when its column is not a pivot.
 
     A cocycle's residue modulo B^n lies in Z^n and vanishes on the pivots,
     so it is the combination of the representatives with its own entries at
@@ -415,9 +414,6 @@ class CohomologySpace:
 
     def class_of(self, phi: TwistedCochain) -> "CohomologyClass":
         return CohomologyClass(self.degree, self.coordinates_of(phi))
-
-    def is_coboundary(self, phi: TwistedCochain) -> bool:
-        return all(x == 0 for x in self.coordinates_of(phi))
 
     def __repr__(self):
         return f"CohomologySpace(degree={self.degree}, dimension={self.dimension})"
@@ -626,28 +622,6 @@ def _pair_pointwise(values: Mapping, omega: TwistedCochain) -> TwistedCochain:
     return TwistedCochain._trusted(trivial_system(base, 1), omega.degree, out)
 
 
-def pair_flat(phi: TwistedCochain, omega: TwistedCochain) -> TwistedCochain:
-    """Pair a flat 0-cochain of the dual system against a twisted cochain,
-    producing an untwisted rational cochain.  Flatness of phi makes the
-    pointwise pairing at the first vertex independent of transport choices,
-    and the pairing then commutes with coboundaries."""
-    if phi.degree != 0:
-        raise InputError("pairing section must be a 0-cochain")
-    if phi.system.base != omega.system.base:
-        raise BaseMismatchError("pairing needs a common base complex")
-    if phi.system != dual(omega.system):
-        raise InputError("pairing section must live in the dual system")
-    if not is_flat_section(phi):
-        raise NotFlatError("pairing section is not flat")
-    return _pair_pointwise(phi.values, omega)
-
-
-def boundary_matrix(c: Complex, n: int) -> Matrix:
-    """Simplicial boundary of n-chains in the sorted-simplex bases: the
-    transpose of the untwisted coboundary d_{n-1}."""
-    return coboundary_matrix(trivial_system(c, 1), n - 1).transpose()
-
-
 def fundamental_cycle(c: Complex) -> dict:
     """The 2-cycle spanning ker of the boundary, normalized so its first
     nonzero triangle coefficient is +1.  Exists uniquely for the closed
@@ -707,16 +681,6 @@ def evaluate_on_chain(phi: TwistedCochain, chain: Mapping) -> Fraction:
             raise InputError(f"{simplex} is not a {phi.degree}-simplex of the base")
         total += _coerce_rational(coeff) * value[0]
     return total
-
-
-def evaluate_on_loop(phi: TwistedCochain, path: Sequence[int]) -> Fraction:
-    """Sum an untwisted rank-1 1-cochain along a vertex path, with signs for
-    traversal against the edge orientation (``loop_pairing`` on its values).
-    Each step must stay put or follow an edge."""
-    if phi.degree != 1 or phi.system.rank != 1:
-        raise InputError("loop evaluation needs a rank-1 1-cochain")
-    _require_edge_path(phi.system.base, path)
-    return loop_pairing({e: v[0] for e, v in phi.values.items()}, path)
 
 
 def named_loop_cocycle(c: Complex, name: str) -> TwistedCochain:

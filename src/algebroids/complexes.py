@@ -115,15 +115,6 @@ class Complex:
         t = tuple(simplex)
         return t in self._sets.get(len(t) - 1, frozenset())
 
-    def neighbors(self, v: int) -> tuple:
-        out = []
-        for i, j in self.edges:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return tuple(sorted(out))
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * len(simps) for n, simps in self.simplices.items())
 

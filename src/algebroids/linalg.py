@@ -23,9 +23,11 @@ canonical answers off its fully reduced rows (``_RowSpace.reduced_rows``),
 which are unique, so they are fixed by the input alone and not by the order
 of elimination.  ``rref``, ``kernel_basis``, ``solve``, ``Matrix.rank`` and
 ``Matrix.inverse`` give the form with leftmost pivots: they eliminate the
-rows with their columns reversed and mirror the reduced rows back.  The
-greedy representatives of ``quotient_basis`` depend only on spans, and a
-residue that vanishes on a given set of pivot columns is unique.
+rows with their columns reversed and mirror the reduced rows back.  A
+residue that vanishes on a given set of pivot columns is unique, and so is
+the greedy choice of representatives of span(z) / span(b): walking a basis
+of span(z) in order, a vector is kept exactly when it is not in the span of
+b and the vectors before it, which depends on spans alone.
 
 A basis in free-column form, as ``kernel_basis`` gives it, has one
 rightmost nonzero column per vector, and the other vectors vanish there.
@@ -44,12 +46,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    DomainMismatchError,
-    InputError,
-    NotASubspaceError,
-    SingularMatrixError,
-)
+from .errors import DomainMismatchError, InputError, SingularMatrixError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -650,30 +647,6 @@ def _free_column_form(vectors) -> list:
             dense[j] = x
         out.append(tuple(dense))
     return out
-
-
-def quotient_basis(z_vectors, b_vectors) -> list:
-    """Representatives for span(z) / span(b).
-
-    The inclusion span(b) <= span(z) is verified, not assumed.  Returned
-    representatives are actual members of ``z_vectors`` chosen greedily in
-    input order, so the answer is deterministic and visibly lives in span(z).
-    """
-    z_vectors = [tuple(_coerce_rational(x) for x in v) for v in z_vectors]
-    b_vectors = [tuple(_coerce_rational(x) for x in v) for v in b_vectors]
-    lengths = {len(v) for v in z_vectors} | {len(v) for v in b_vectors}
-    if len(lengths) > 1:
-        raise InputError("vectors of unequal length")
-
-    span_z = _RowSpace(z_vectors)
-    for i, v in enumerate(b_vectors):
-        if not span_z.contains(v):
-            raise NotASubspaceError(
-                "second span is not contained in the first", vector_index=i
-            )
-
-    accum = _RowSpace(b_vectors)
-    return [v for v in z_vectors if accum.add(v)]
 
 
 def solve(m: Matrix, rhs: Sequence):

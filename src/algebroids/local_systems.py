@@ -16,9 +16,9 @@ gauge: tree edges carry the identity, and each non-tree edge carries the
 holonomy of the loop it closes.  ``_tree_gauge`` reads the frames and every
 loop holonomy off one pass down the tree, for ``holonomy`` and H^0, and
 ``from_representation`` reads the windings of those loops off
-``Complex.windings``, which each model computes once.  The holonomy of a system is the plain mapping
-{non-tree edge: Matrix} of those loops, which ``from_representation`` takes
-back as explicit edge images.
+``Complex.windings``, which each model computes once.  The holonomy of a
+system is the plain mapping {non-tree edge: Matrix} of those loops, which
+``from_representation`` takes back as explicit edge images.
 
 A system keeps its dual once computed.  Nothing points back from a derived
 system to its source, so no reference cycle forms.
@@ -42,7 +42,9 @@ fills.  A system nobody has checked passes on nothing.
 Symmetric powers past ``MAX_SYM_RANK`` dimensions are refused before any
 matrix is built: Sym^k of a rank-r fiber has C(r + k - 1, k) dimensions,
 and its transports and invariant sections are dense in them.  A range of
-powers whose dimensions sum past ``MAX_SYM_RANGE`` is refused the same way.
+powers whose dimensions sum past ``MAX_SYM_RANGE`` is refused the same way,
+and so is any power past the top of the widest such range, Sym^219 of a
+line.
 """
 
 from __future__ import annotations
@@ -407,10 +409,8 @@ def dual(L: LocalSystem) -> LocalSystem:
     of a dual section against a section is transport-invariant.  Computed
     once per system and kept on it, inverting each distinct transport
     object once, or not at all when the system already knows its inverse,
-    as one built by ``from_representation`` does.  A tensor product is inverted as it stands, not factor by
-    factor: each distinct Kronecker transport of ``tensor_power(L, k)`` has
-    size r^k and costs about r^(3k), where the duals of its k rank-r
-    factors would cost about k r^3.  Flat when L is known flat."""
+    as one built by ``from_representation`` does.  Flat when L is known
+    flat."""
     if L._dual is None:
         flip = _once_per_object(lambda m: L._inverse(m).transpose())
         transport = {e: flip(m) for e, m in L.transport.items()}
@@ -507,7 +507,10 @@ def _sym_rank(rank: int, k: int) -> int:
 def _sym_range_rank(rank: int, lo: int, hi: int) -> int:
     """The summed dimension of Sym^lo .. Sym^hi of a rank-r fiber, for
     0 <= lo <= hi, in closed form: C(r + hi, hi) - C(r + lo - 1, lo - 1),
-    so a wide range costs no loop.  An InputError past ``MAX_SYM_RANGE``."""
+    so a wide range costs no loop.  An InputError past ``MAX_SYM_RANGE``,
+    and then for any hi of ``MAX_SYM_RANGE`` or more: Sym^k of a line is a
+    line, so a narrow range of high powers passes the sum, but its
+    transports climb all k degrees and grow to about k bits."""
     total = math.comb(rank + hi, hi) - (math.comb(rank + lo - 1, lo - 1) if lo else 0)
     if total > MAX_SYM_RANGE:
         raise InputError(
@@ -516,18 +519,27 @@ def _sym_range_rank(rank: int, lo: int, hi: int) -> int:
             dimension=total,
             limit=MAX_SYM_RANGE,
         )
+    if hi >= MAX_SYM_RANGE:
+        raise InputError(
+            f"symmetric power {hi} is past {MAX_SYM_RANGE - 1}, the highest power "
+            f"of a line in a range of {MAX_SYM_RANGE} dimensions",
+            power=hi,
+            limit=MAX_SYM_RANGE - 1,
+        )
     return total
 
 
 def sym_power(L: LocalSystem, k: int) -> LocalSystem:
     """The k-th symmetric power: the trivial line for k = 0, and L itself
-    for k = 1.  A power k >= 2 of dimension past ``MAX_SYM_RANK`` raises
+    for k = 1.  A power k >= 2 of dimension past ``MAX_SYM_RANK``, or of a
+    line with k past the range bound (``_sym_range_rank``), raises
     InputError.  Flat when L is known flat."""
     if k < 0:
         raise InputError("symmetric power needs a nonnegative exponent")
     if k == 1:
         return L
     rank = _sym_rank(L.rank, k)
+    _sym_range_rank(L.rank, k, k)
     sym = _once_per_object(lambda m: _sym_matrix(m, k))
     transport = {e: sym(m) for e, m in L.transport.items()}
     return _flat_if(LocalSystem(L.base, rank, transport), L)

@@ -69,25 +69,24 @@ def dense_solve(m, rhs):
     return tuple(x)
 
 
+def _new_columns(first, second, width):
+    """The indices i of the vectors of ``second`` that are not in the span
+    of ``first`` and second[:i]: the pivot columns of the matrix whose
+    columns are the vectors of first, then second, past first."""
+    columns = list(first) + list(second)
+    rows = [tuple(v[j] for v in columns) for j in range(width)]
+    _, _, pivots = dense_rref(rows, len(columns))
+    return [p - len(first) for p in pivots if p >= len(first)]
+
+
 def dense_quotient_basis(z_vectors, b_vectors):
-    """Greedy representatives of span(z) / span(b) in input order, by rank
-    counts: v is kept when it raises the rank of b plus the kept vectors."""
+    """Greedy representatives of span(z) / span(b) in input order: v is kept
+    when it is not in the span of b and the vectors of z before it.  The
+    first vector of b outside span(z) raises NotASubspaceError."""
     width = len((list(z_vectors) + list(b_vectors) or [()])[0])
-
-    def rank(vectors):
-        return dense_rref(vectors, width)[0]
-
-    z_vectors = [tuple(v) for v in z_vectors]
-    base = rank(z_vectors)
-    for i, v in enumerate(b_vectors):
-        if rank(z_vectors + [tuple(v)]) > base:
-            raise NotASubspaceError(
-                "second span is not contained in the first", vector_index=i
-            )
-    kept = [tuple(v) for v in b_vectors]
-    reps = []
-    for v in z_vectors:
-        if rank(kept + [v]) > rank(kept):
-            kept.append(v)
-            reps.append(v)
-    return reps
+    outside = _new_columns(z_vectors, b_vectors, width)
+    if outside:
+        raise NotASubspaceError(
+            "second span is not contained in the first", vector_index=outside[0]
+        )
+    return [tuple(z_vectors[i]) for i in _new_columns(b_vectors, z_vectors, width)]

@@ -29,7 +29,6 @@ from algebroids import (
     induced_map,
     invariant_sections,
     make_algebroid,
-    pair_flat,
     pullback_algebroid,
     pullback_cochain,
     sym_power,
@@ -279,12 +278,21 @@ def test_chern_weil_derives_once_per_distinct_transport(rep, monkeypatch, capsys
         assert max(keys.values()) == 1, name
 
 
+def _pair_flat(phi, omega):
+    """The untwisted cochain whose value on each simplex is the pairing of
+    the dual section phi at its first vertex with omega's value there."""
+    return TwistedCochain(trivial_system(omega.system.base, 1), omega.degree, {
+        sigma: (sum(x * y for x, y in zip(phi.value(sigma[:1]), value)),)
+        for sigma, value in omega.values.items()
+    })
+
+
 def _reference_chern_weil(A, phi, k, P):
     """The Chern-Weil class the long way round: embed phi as a section of
     the dual of P, the k-th tensor power of the adjoint (each word
     coordinate is the monomial coordinate of its sorted word, weighted by
     the product of the letter multiplicity factorials), check that the
-    embedding is flat there, pair it with omega^k through ``pair_flat`` and
+    embedding is flat there, pair it with omega^k through ``_pair_flat`` and
     divide by k!.  Callers share P, so its dual is built once."""
     r = A.adjoint.rank
     mono_index = {m: i for i, m in enumerate(itertools.combinations_with_replacement(range(r), k))}
@@ -303,7 +311,7 @@ def _reference_chern_weil(A, phi, k, P):
         for v in range(A.base.vertex_count)
     })
     assert is_flat_section(embedded)
-    paired = pair_flat(embedded, power).scale(Fraction(1, math.factorial(k)))
+    paired = _pair_flat(embedded, power).scale(Fraction(1, math.factorial(k)))
     return untwisted_space(A.base, 2 * k).class_of(paired)
 
 
@@ -371,7 +379,7 @@ def _gauged_system_and_curvature(rng, base, rank):
 def test_chern_weil_in_the_fiber_equals_the_dual_tensor_power_pairing(base, rank):
     """On seeded gauged flat systems, for omega and omega + d(eta) and
     k = 0..3, pairing in the fiber gives the class that the embedding into
-    the dual of the tensor power gives through ``pair_flat``."""
+    the dual of the tensor power gives through ``_pair_flat``."""
     c = {"torus": lambda: torus_grid(3, 3), "torus4x4": lambda: torus_grid(4, 4),
          "s2xs2": _sphere_product}[base]()
     rng = random.Random(f"{base} {rank}")

@@ -12,9 +12,9 @@ from algebroids import (
     NotClosedError,
     UnsupportedBaseError,
     UnsupportedRankError,
-    boundary_matrix,
     canonical_edge_class,
     circle_model,
+    coboundary_matrix,
     cup,
     evaluate_on_chain,
     from_representation,
@@ -304,14 +304,14 @@ def test_one_query_builds_each_derived_object_once(monkeypatch, fresh_models, ca
     logs = count_calls(monkeypatch, char_classes, "log_classes")
     spaces = count_calls(monkeypatch, COHOMOLOGY, "cohomology")
     kernels = count_calls(monkeypatch, COHOMOLOGY, "kernel_basis")
-    boundaries = count_calls(monkeypatch, COHOMOLOGY, "boundary_matrix")
+    coboundaries = count_calls(monkeypatch, COHOMOLOGY, "coboundary_matrix")
     cups = count_calls(monkeypatch, char_classes, "cup")
     cochains = count_calls(monkeypatch, char_classes.EdgeClass, "to_cochain")
     gauges = count_calls(monkeypatch, local_systems, "_tree_gauge")
     argv = ["char-classes", "--check-surjectivity", "--json", "--complex", "builtin:torus",
             "--rep", "a=6/5,b=-35/3"]
     for first in (True, False):
-        for calls in (logs, spaces, kernels, boundaries, cups, cochains, gauges):
+        for calls in (logs, spaces, kernels, coboundaries, cups, cochains, gauges):
             calls.clear()
         assert main(argv) == 0
         assert '"surjective": true' in capsys.readouterr().out
@@ -320,10 +320,12 @@ def test_one_query_builds_each_derived_object_once(monkeypatch, fresh_models, ca
         # the first query of the process builds the untwisted H^2, and no
         # other space; a later one reads it off the model
         assert [(L.rank, n) for L, n in spaces] == ([(1, 2)] if first else [])
-        # the one kernel is Z^2 (d_2 has no rows); the boundary d_2 is never
-        # built, since the cycle is read off the echelon form of B^2
+        # the one kernel is Z^2 (d_2 has no rows); the only coboundaries are
+        # the d_1 and d_2 of that space, so the boundary d_2, the transpose
+        # of d_1, is never built again: the cycle is read off the echelon
+        # form of B^2
         assert [(m.rows, m.cols) for (m,) in kernels] == ([(0, 18)] if first else [])
-        assert boundaries == []
+        assert [(L.rank, n) for L, n in coboundaries] == ([(1, 1), (1, 2)] if first else [])
         # each of the four classes becomes a cochain once
         assert len(cochains) == 4
         pairs = [(tuple(a.values.items()), tuple(b.values.items())) for a, b in cups]
@@ -341,9 +343,10 @@ def test_the_surjectivity_test_compares_the_shared_torus_with_itself(monkeypatch
 
 
 def reference_fundamental_cycle(c):
-    """The fundamental cycle from the kernel of the boundary d_2, which
-    ``kernel_basis`` eliminates on its own."""
-    return _normalized_cycle(c, kernel_basis(boundary_matrix(c, 2)))
+    """The fundamental cycle from the kernel of the boundary d_2, the
+    transposed untwisted d_1, which ``kernel_basis`` eliminates on its own."""
+    boundary = coboundary_matrix(trivial_system(c, 1), 1).transpose()
+    return _normalized_cycle(c, kernel_basis(boundary))
 
 
 @pytest.mark.parametrize("spec", ["builtin:torus"] + [

@@ -72,6 +72,46 @@ def test_validate_requires_some_input(run):
     assert "error [BAD_INPUT]" in err
 
 
+def _refused(run, *argv):
+    code, out, err = run(*argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error [BAD_INPUT]: ")
+    return err
+
+
+def test_validate_refuses_omega_without_a_representation(run):
+    """--omega used to be ignored here: a missing file validated as ok."""
+    err = _refused(run, "validate", "--complex", "builtin:torus", "--omega", "/nonexistent.json")
+    assert "no representation given" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--complex", "builtin:torus"), ("--rep", "a=2"), ("--rep-file", "rep.json"),
+    ("--rank", "2"), ("--omega", "zero"),
+])
+def test_validate_refuses_an_algebroid_with_other_input(run, option, value):
+    """The bundle holds its own complex, adjoint and omega; the option is
+    refused before the bundle is read."""
+    err = _refused(run, "validate", "--algebroid", "/nonexistent.json", option, value)
+    assert option in err
+
+
+def test_rep_and_rep_file_together_are_refused(run):
+    """The file used never to be read: the inline --rep won."""
+    _refused(run, "cohomology", "--complex", "builtin:torus", "--rep", "a=3",
+             "--rep-file", "/nonexistent.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--complex", "builtin:torus", "--rep-file", "/nonexistent.json"),
+    ("validate", "--complex", "builtin:torus"),
+])
+def test_rank_without_an_inline_rep_is_refused(run, argv):
+    err = _refused(run, *argv, "--rank", "2")
+    assert "--rank" in err
+
+
 def test_cohomology_text_output(run):
     code, out, _ = run(
         "cohomology", "--complex", "builtin:torus", "--rep", "a=2,b=1"
@@ -646,6 +686,35 @@ def test_a_power_range_past_the_summed_bound_fails_fast(k):
     error = json.loads(proc.stderr.strip().splitlines()[-1])
     assert error["code"] == "BAD_INPUT"
     assert error["details"] == {"dimension": k + 1, "limit": 220}
+
+
+@pytest.mark.parametrize("k", [220, 10**9])
+def test_one_power_of_a_line_past_the_range_bound_fails_fast(k):
+    """A single power of a line sums to one dimension, so neither bound
+    fires, but its transports climb all k degrees: k = 10^6 took 7 s.  A
+    power past 219, the top of the widest range of a line, is refused
+    before any power is built."""
+    proc = _limited_cli_process(*RANK1_TORUS, "--min-k", str(k), "--max-k", str(k), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["code"] == "BAD_INPUT"
+    assert error["details"] == {"power": k, "limit": 219}
+
+
+def test_the_highest_power_of_a_line_in_the_bound_answers():
+    proc = _limited_cli_process(*RANK1_TORUS, "--min-k", "219", "--max-k", "219", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "k=219: invariant sections 0, image {0}\n"
+
+
+def test_a_huge_degree_answers_without_a_coboundary_per_degree():
+    """Above the base dimension there are no cochains; --degree 10^6 used to
+    build one empty coboundary per degree and took 5 s."""
+    proc = _limited_cli_process("cohomology", "--complex", "builtin:torus", "--rep", "a=2,b=3",
+                                "--degree", "1000000000", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "H1000000000=0\n"
 
 
 def test_the_widest_power_range_in_the_bound_answers():

@@ -34,7 +34,7 @@ def test_validate_complex_accepts_triangle():
     assert c.euler_characteristic() == 1
     assert c.has_simplex((0, 1, 2))
     assert not c.has_simplex((0, 2, 1))
-    assert c.neighbors(0) == (1, 2)
+    assert [e for e in c.edges if 0 in e] == [(0, 1), (0, 2)]
 
 
 def test_validate_complex_rejects_bad_input():
@@ -87,8 +87,11 @@ def test_torus_model_shape(torus):
     assert torus.counts() == (9, 27, 18)
     assert torus.euler_characteristic() == 0
     # each vertex is a hexagon center in this triangulation
-    for v in range(9):
-        assert len(torus.neighbors(v)) == 6
+    degrees = [0] * 9
+    for edge in torus.edges:
+        for v in edge:
+            degrees[v] += 1
+    assert degrees == [6] * 9
 
 
 def test_torus_grid_rejects_small_grids():

@@ -1,10 +1,9 @@
 """Differential tests of the sparse elimination kernel.
 
-``rref``, ``kernel_basis``, ``quotient_basis``, ``solve`` and
-``Matrix.inverse`` must give exactly what the dense reference in
-``dense_reference.py`` gives, on seeded random rational matrices of every
-awkward shape and on the sparse coboundaries of gauged flat systems, where
-elimination fills in.  The one echelon form of the kernel, forward-only
+``rref``, ``kernel_basis``, ``solve`` and ``Matrix.inverse`` must give
+exactly what the dense reference in ``dense_reference.py`` gives, on seeded
+random rational matrices of every awkward shape and on the sparse
+coboundaries of gauged flat systems, where elimination fills in.  The one echelon form of the kernel, forward-only
 with rightmost pivots, must agree with the dense reference on everything a
 caller reads of a span: its rank, pivots, membership, residues and null
 space; and its back-reduced rows must be the mirrored dense reduced form of
@@ -28,7 +27,6 @@ from algebroids import (
     cohomology,
     cohomology_dims,
     kernel_basis,
-    quotient_basis,
     rref,
     solve,
     torus_grid,
@@ -122,30 +120,6 @@ def test_solve_matches_dense_reference():
             if solution is not None:
                 assert m.apply(solution) == tuple(rhs)
         assert solve(m, consistent) is not None
-
-
-def test_quotient_basis_matches_dense_reference():
-    for rng, m in cases():
-        z = list(m.entries)
-        b = []
-        for _ in range(rng.randint(0, 3)):
-            coeffs = [_entry(rng) for _ in z]
-            b.append(tuple(sum((c * v[j] for c, v in zip(coeffs, z)), Fraction(0))
-                           for j in range(m.cols)))
-        b += [tuple(row) for row in rng.sample(z, min(len(z), 2))]
-        rng.shuffle(b)
-        assert quotient_basis(z, b) == dense_quotient_basis(z, b)
-
-        outside = [_entry(rng) for _ in range(m.cols)]
-        if dense_rref(z + [outside], m.cols)[0] == dense_rref(z, m.cols)[0]:
-            continue
-        b.insert(rng.randrange(len(b) + 1), tuple(outside))
-        with pytest.raises(NotASubspaceError) as expected:
-            dense_quotient_basis(z, b)
-        with pytest.raises(NotASubspaceError) as got:
-            quotient_basis(z, b)
-        assert got.value.to_json() == expected.value.to_json()
-        assert got.value.details["vector_index"] == b.index(tuple(outside))
 
 
 def test_ranks_match_sympy_over_the_rationals():
@@ -357,8 +331,8 @@ def test_coordinates_on_the_rank_form_match_a_dense_solve(rank):
 
 def test_a_coboundary_outside_the_cocycles_is_still_refused():
     """A space whose Z^n basis misses a coboundary raises
-    NotASubspaceError, as quotient_basis does, and one whose smaller basis
-    still spans B^n is built."""
+    NotASubspaceError, as ``dense_quotient_basis`` does, and one whose
+    smaller basis still spans B^n is built."""
     rng = random.Random("rank-form-not-a-subspace")
     refused = 0
     for rank in (1, 2):
@@ -375,7 +349,7 @@ def test_a_coboundary_outside_the_cocycles_is_still_refused():
             with pytest.raises(NotASubspaceError):
                 CohomologySpace(L, 1, smaller, image)
             with pytest.raises(NotASubspaceError):
-                quotient_basis(smaller, image)
+                dense_quotient_basis(smaller, image)
     assert refused
 
 
@@ -383,8 +357,8 @@ def test_a_basis_holding_every_pivot_but_missing_part_of_the_image_is_refused():
     """Dropping a cocycle whose column B^1 does not pivot on leaves a
     basis in free-column form that still holds every pivot of B^1 among
     its columns.  Where a row of B^1 needs the dropped vector, the space is
-    refused all the same, as ``quotient_basis`` refuses it: the inclusion
-    is checked entry by entry, not read off the pivots."""
+    refused all the same, as ``dense_quotient_basis`` refuses it: the
+    inclusion is checked entry by entry, not read off the pivots."""
     rng = random.Random("read-off-not-a-subspace")
     refused = 0
     for rank in (1, 2):
@@ -405,7 +379,7 @@ def test_a_basis_holding_every_pivot_but_missing_part_of_the_image_is_refused():
             with pytest.raises(NotASubspaceError):
                 CohomologySpace(L, 1, smaller, image)
             with pytest.raises(NotASubspaceError):
-                quotient_basis(smaller, image)
+                dense_quotient_basis(smaller, image)
     assert refused
 
 

@@ -33,10 +33,14 @@ There is no linter in the toolchain, so these walk the syntax trees:
 - no option is dead: every parameter with a default, on a function or
   method of the package, is passed by some call in the package or its
   tests.  Calls are matched by name, and a class's call is its
-  ``__init__``.
+  ``__init__``;
+- the public names are the ones README lists: the per-module list in its
+  Library section names exactly what ``__init__.py`` imports from each
+  module, so a helper only the tests call is not exported unnoticed.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import algebroids
@@ -487,3 +491,55 @@ def test_the_check_finds_a_default_no_call_passes(tmp_path):
         (2, "A", "y", 1), (4, "m", "w", None), (4, "m", "z", 0), (6, "f", "q", 1), (6, "f", "r", 2),
     ]
     assert unpassed_defaults([path], [path]) == ["sample.py:4: m(z)"]
+
+
+def listed_names(text: str) -> dict:
+    """{module: names} of the bullets ``- `module`: `name`, ...`` in the
+    Library section of a README.  A bullet may wrap onto the lines after
+    it, and ends at the next bullet or blank line."""
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    found = {}
+    for bullet in re.split(r"\n(?=- )", section):
+        match = re.match(r"- `(\w+)`: (.*)", bullet.split("\n\n")[0], re.S)
+        if match:
+            found[match.group(1)] = set(re.findall(r"`(\w+)`", match.group(2)))
+    return found
+
+
+def exported_names(path: Path) -> dict:
+    """{module: names} that an ``__init__.py`` imports from its modules."""
+    found = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found.setdefault(node.module, set()).update(a.asname or a.name for a in node.names)
+    return found
+
+
+def unlisted_exports(readme: Path, init: Path) -> list:
+    """``module.name`` of every name exported but not listed, or listed but
+    not exported."""
+    listed, exported = listed_names(readme.read_text()), exported_names(init)
+    return sorted(
+        f"{module}.{name}"
+        for module in set(listed) | set(exported)
+        for name in listed.get(module, set()) ^ exported.get(module, set())
+    )
+
+
+def test_readme_lists_exactly_the_exported_names():
+    assert unlisted_exports(TESTS.parent / "README.md", PACKAGE / "__init__.py") == []
+
+
+def test_the_check_finds_a_name_exported_but_not_listed(tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text("# sample\n\n- `linalg`: `rref`, not a bullet of the Library\n\n"
+                      "## Library\n\nPublic names:\n\n- `linalg`: `Matrix`,\n  `rref`\n"
+                      "- `complexes`: `Complex`\n\nModels: `torus_model()` and\n"
+                      "- `torus_grid` wrap.\n\n## Next\n\n- `jsonio`: `dump_json`\n")
+    init = tmp_path / "__init__.py"
+    init.write_text("from . import cli\nfrom .linalg import Matrix, quotient_basis, rref\n"
+                    "from .complexes import Complex\nfrom .jsonio import dump_json\n")
+    assert listed_names(readme.read_text()) == {
+        "linalg": {"Matrix", "rref"}, "complexes": {"Complex"},
+    }
+    assert unlisted_exports(readme, init) == ["jsonio.dump_json", "linalg.quotient_basis"]

@@ -10,10 +10,8 @@ from algebroids import (
     GF2,
     InputError,
     Matrix,
-    NotASubspaceError,
     SingularMatrixError,
     kernel_basis,
-    quotient_basis,
     rref,
     solve,
     torus_model,
@@ -152,19 +150,6 @@ def test_kernel_of_empty_matrices():
         (0, 0, 1),
     ]
     assert kernel_basis(Matrix([(), ()], cols=0)) == []
-
-
-def test_quotient_basis_counts():
-    z = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
-    b = [(2, 2, 0)]
-    reps = quotient_basis(z, b)
-    assert len(reps) == 1
-    assert reps[0] in z
-
-
-def test_quotient_basis_rejects_non_subspace():
-    with pytest.raises(NotASubspaceError):
-        quotient_basis([(1, 0)], [(0, 1)])
 
 
 def test_solve_consistent_and_inconsistent():

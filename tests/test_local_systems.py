@@ -666,3 +666,18 @@ def test_a_range_of_symmetric_powers_is_bounded_by_its_summed_dimension():
                     _sym_range_rank(rank, lo, hi)
                 assert info.value.details == {"dimension": total, "limit": MAX_SYM_RANGE}
     assert _sym_range_rank(3, 0, 9) == MAX_SYM_RANGE == _sym_range_rank(1, 0, 219)
+
+
+def test_a_power_of_a_line_past_the_widest_range_is_refused(torus):
+    """Sym^k of a line is a line, so neither dimension bound fires; a power
+    past 219, the top of the widest range of a line, is refused before its
+    transports climb all k degrees."""
+    from algebroids.local_systems import MAX_SYM_RANGE
+
+    line = from_representation(torus, {"a": -1, "b": 1})
+    # the holonomies are signs, and 219 is odd
+    assert holonomy(sym_power(line, MAX_SYM_RANGE - 1)) == holonomy(line)
+    for k in (MAX_SYM_RANGE, 10**9):
+        with pytest.raises(InputError) as info:
+            sym_power(line, k)
+        assert info.value.details == {"power": k, "limit": MAX_SYM_RANGE - 1}
