@@ -23,7 +23,7 @@ from .char_classes import _ClassQuery, sign_class, surjectivity_check
 # cohomology module's namespace through ``cli.cohomology``.
 from .cohomology import TwistedCochain, cohomology, cohomology_dims, fundamental_cocycle  # noqa: F401
 from .complexes import Complex
-from .errors import AlgebroidError, DegreeError, InputError, OutOfMemoryError, SchemaError
+from .errors import AlgebroidError, InputError, OutOfMemoryError, SchemaError
 from .jsonio import (
     SCHEMA_VERSION,
     _simplex_key,
@@ -62,7 +62,10 @@ def _parse_inline_rep(c: Complex, text: str, rank: int | None) -> LocalSystem:
         if "=" not in piece:
             raise SchemaError(f"bad --rep entry {piece!r}, expected name=value")
         key, _, value = piece.partition("=")
-        images[key.strip()] = parse_rational(value.strip())
+        key = key.strip()
+        if key in images:
+            raise InputError(f"--rep gives generator {key!r} twice", generator=key)
+        images[key] = parse_rational(value.strip())
     return from_representation(c, images, rank=rank)
 
 
@@ -146,13 +149,10 @@ def cmd_validate(args) -> int:
 def cmd_cohomology(args) -> int:
     c = resolve_complex_spec(args.complex)
     L = _load_system(args, c)
-    if args.degree is None:
-        degrees = list(range(c.dimension + 1))
-    elif args.degree < 0:
-        raise DegreeError("cohomology degree must be nonnegative")
-    else:
-        degrees = [args.degree]
-    # no n-cochains above the base dimension, so H^n = 0 there
+    degrees = list(range(c.dimension + 1)) if args.degree is None else [args.degree]
+    # no n-cochains above the base dimension, so H^n = 0 there; the dims up
+    # to a huge degree would hold one zero per degree (a negative degree is
+    # refused by cohomology_dims)
     all_dims = cohomology_dims(L, up_to=min(degrees[-1], c.dimension))
     dims = {n: all_dims[n] if n <= c.dimension else 0 for n in degrees}
     _emit(

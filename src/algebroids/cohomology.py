@@ -14,24 +14,20 @@ module: kernels are read off its fully reduced rows, which are unique, and
 quotient representatives depend only on spans, so bases are stable across
 runs.  Dimensions alone need only ranks.
 
-Each space keeps a forward-only echelon form of its coboundaries and reads
-H^n off it.  With the cocycle basis in free-column form (each vector has
-its own rightmost nonzero column, which the others vanish on), every pivot
-of the coboundaries is one of those columns, and the representatives are
-the basis vectors whose column is not a pivot.  That is the greedy choice:
-walking the basis in order, a vector is kept exactly when it is not in the
-span of B^n and the vectors before it, and that span grows exactly at a
-vector whose column is not a pivot.  The coordinates of a
-class are the entries of its residue at the representatives' columns.  So
-a space costs one elimination, of B^n, and a class one reduction.
+Each space holds Z^n in free-column form and keeps a forward-only echelon
+form of B^n, and reads H^n off it by the greedy choice (both are defined
+in the linalg module docstring): the representatives are the cocycles
+whose column is not a pivot of B^n, and the coordinates of a class are the
+entries of its residue at their columns.  So besides Z^n a space costs
+one elimination, of B^n, and a class one reduction.
 
 The untwisted H^n depends on the complex alone, so ``untwisted_space``
-runs that elimination once per complex and degree: it keeps the echelon,
-the tails and the representative vectors, which point to no system and
-no complex, in ``Complex._untwisted_spaces``, and wraps them around a
-fresh trivial line on every later call.  Only this module writes that
-memo, and no caller may change what it holds.  The fundamental cycle is
-read off the kept H^2.
+runs that elimination once per complex and degree: it keeps the echelon
+and the representatives' tails, which point to no system and no complex,
+in ``Complex._untwisted_spaces``, and wraps them around a fresh trivial
+line on every later call.  Only this module writes that memo, and no
+caller may change what it holds.  The fundamental cycle is read off the
+kept H^2.
 
 A section is tested for flatness edge by edge, T(i, j) phi(j) ==
 phi(i), and both that test and the coboundary skip the product wherever
@@ -45,6 +41,7 @@ coerces what callers pass.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -63,11 +60,11 @@ from .linalg import (  # noqa: F401
     Matrix,
     _RowSpace,
     _coerce_rational,
-    _free_column_form,
-    _free_column_kernel,
-    _free_column_tails,
+    _dense,
+    _kernel_tails,
+    _leftmost_rows,
+    _span_tails,
     _subtract,
-    kernel_basis,
     solve,
 )
 from .local_systems import (
@@ -80,6 +77,7 @@ from .local_systems import (
 )
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _normalize_simplex(key) -> tuple:
@@ -287,9 +285,8 @@ def coboundary_matrix(L: LocalSystem, n: int) -> Matrix:
     return Matrix._trusted(tuple(rows), ncols)
 
 
-def _flat_sections(L: LocalSystem) -> list:
-    """The basis of H^0 = ker d_0 that ``kernel_basis`` gives, read off the
-    fiber at vertex 0.
+def _flat_sections(L: LocalSystem) -> dict:
+    """H^0 = ker d_0 in free-column form, read off the fiber at vertex 0.
 
     A flat section is fixed by its value x at the root: with the frames of
     ``local_systems._tree_gauge`` it is down[v] x at each vertex v, and a
@@ -297,23 +294,27 @@ def _flat_sections(L: LocalSystem) -> list:
     for the holonomy h = down[i]^-1 T(i, j) down[j] of its loop.  So H^0 is
     the joint fixed space of the distinct holonomies (the null space of the
     stacked R x R blocks h - I), extended by the frames, and no (E R) x (V R)
-    matrix is built.  The free-column form of a span, its reduced rows with
-    rightmost pivots, is unique and is the form of ``kernel_basis``, so the
-    free-column form of the extended vectors is that basis, entry for entry."""
+    matrix is built.  The rows of the blocks go into one echelon, and once
+    it has rank R only zero is fixed.  Any basis of the fixed space extends
+    to a basis of H^0, and the free-column form of a span is unique."""
     base, r = L.base, L.rank
     down, loops = _tree_gauge(L)
     ident = Matrix.identity(r)
+    fixed = _RowSpace()
     # loops in tree gauge share a few transport objects: one block per object
-    distinct = {id(h): h for h in loops.values()}.values()
-    blocks = [h - ident for h in distinct if not h.is_identity()]
-    fixed = kernel_basis(Matrix([row for b in blocks for row in b.entries], cols=r))
+    for h in {id(h): h for h in loops.values()}.values():
+        if not h.is_identity():
+            for row in (h - ident).entries:
+                fixed.add(row)
+                if len(fixed) == r:
+                    return {}
     sections = []
-    for x in fixed:
+    for x in _dense(_kernel_tails(fixed.reduced_rows(), r), r):
         values = []
         for v in range(base.vertex_count):
             values.extend(_act(down[v], x))
         sections.append(values)
-    return _free_column_form(sections)
+    return _span_tails(sections)
 
 
 def _matrix_from_columns(cols, height: int) -> Matrix:
@@ -326,29 +327,14 @@ class CohomologySpace:
     """H^n of a flat system: dimension, chosen cocycle representatives, and
     coordinates of arbitrary cocycles in the chosen basis.
 
-    Built from a basis of Z^n and a spanning list of B^n.  The rank form of
-    the echelon of B^n (forward elimination only, see ``linalg._RowSpace``)
-    is computed once and kept, and H^n is read off it:
-
-    - the Z^n basis is taken in free-column form (``linalg._free_column_tails``):
-      each vector has its own rightmost nonzero column, 1 there, and the
-      others vanish there.  ``kernel_basis`` and ``_flat_sections`` give
-      that form, and any other basis is brought to it first;
-    - every member of Z^n is the combination of the basis with its own
-      entries at those columns as coefficients, so B^n lies in Z^n exactly
-      when every row of its echelon is, which is checked row by row;
-    - a nonzero combination of the basis has its rightmost nonzero at the
-      column of its rightmost vector, so every pivot of B^n, the rightmost
-      nonzero of a member of Z^n, is one of those columns;
-    - the representatives are the basis vectors whose column is not a pivot
-      of B^n.
-
-    They are the greedy choice: walking the basis in order, each vector is
-    kept when it is not in the span of B^n and the vectors before it.  The
-    span of B^n and the first i vectors has the dimension i plus the number
-    of pivots right of the i-th column, since the members of B^n with pivots
-    at or left of it are combinations of those i vectors, so the span grows
-    at the i-th vector exactly when its column is not a pivot.
+    Built from a basis of Z^n and a spanning list of B^n.  The basis is
+    brought to free-column form, the rank form of the echelon of B^n
+    (forward elimination only, see ``linalg._RowSpace``) is computed once
+    and kept, and H^n is read off it by the greedy choice; the linalg module
+    docstring defines both.  B^n lies in Z^n exactly when every row of its
+    echelon does, which is checked row by row.  The representatives are the
+    basis vectors whose column is not a pivot of B^n; at degree 0 they are
+    flat sections, as Z^0 is, and marked so.
 
     A cocycle's residue modulo B^n lies in Z^n and vanishes on the pivots,
     so it is the combination of the representatives with its own entries at
@@ -358,23 +344,12 @@ class CohomologySpace:
     depend on the echelon form."""
 
     def __init__(self, system, degree, z_vectors=(), b_vectors=()):
-        image = _RowSpace(b_vectors)
-        tails = _free_column_tails(z_vectors)
-        if tails is None:
-            z_vectors = _free_column_form(z_vectors)
-            tails = _free_column_tails(z_vectors)
-        if not image.within(tails):
-            raise NotASubspaceError(
-                "coboundaries are not all cocycles", degree=degree
-            )
-        pivots = image.pivots
-        kept = [(c, v) for c, v in zip(tails, z_vectors) if c not in pivots]
-        self._wrap(system, degree, (image, {c: tails[c] for c, _ in kept}, [v for _, v in kept]))
+        self._wrap(system, degree, _quotient(degree, _span_tails(z_vectors), _RowSpace(b_vectors)))
 
     @classmethod
     def _from_kept(cls, system, degree, kept: tuple) -> "CohomologySpace":
         """The space whose ``_kept`` data is ``kept``, over ``system``: no
-        elimination and no check, so ``kept`` must come from a space built
+        elimination and no check, so ``kept`` must come from ``_quotient``
         over an equal system."""
         space = object.__new__(cls)
         space._wrap(system, degree, kept)
@@ -382,17 +357,27 @@ class CohomologySpace:
 
     def _wrap(self, system, degree, kept: tuple) -> None:
         # what the space computed, as plain data with no reference to a
-        # system or a complex: the rank-form echelon of B^n, the free-column
-        # tails of the representatives by column, and their vectors
+        # system or a complex: the rank-form echelon of B^n and the
+        # free-column tails of the representatives by column
         self.system = system
         self.degree = degree
         self._kept = kept
-        self._image, self._tails, self._rep_vectors = kept
-        self.representatives = [
+        self._image, self._tails = kept
+        self.dimension = len(self._tails)
+
+    @functools.cached_property
+    def representatives(self) -> list:
+        """The representative cocycles, built on first use."""
+        system, degree = self.system, self.degree
+        width = len(system.base.simplices_of_dim(degree)) * system.rank
+        reps = [
             TwistedCochain._trusted(system, degree, _by_simplex(system, degree, v))
-            for v in self._rep_vectors
+            for v in _dense(self._tails, width)
         ]
-        self.dimension = len(self.representatives)
+        if degree == 0:
+            for phi in reps:
+                phi._flat = True
+        return reps
 
     def coordinates_of(self, phi: TwistedCochain) -> tuple:
         """Coefficients of phi's class in the representative basis."""
@@ -417,6 +402,16 @@ class CohomologySpace:
 
     def __repr__(self):
         return f"CohomologySpace(degree={self.degree}, dimension={self.dimension})"
+
+
+def _quotient(degree: int, tails: dict, image: _RowSpace) -> tuple:
+    """The ``_kept`` data of H^n for Z^n in free-column form, ``{column:
+    tail}``, and the echelon of B^n: the echelon and the tails of the
+    representatives.  Raises NotASubspaceError when B^n is not in Z^n."""
+    if not image.within(tails):
+        raise NotASubspaceError("coboundaries are not all cocycles", degree=degree)
+    pivots = image.pivots
+    return image, {c: tail for c, tail in tails.items() if c not in pivots}
 
 
 class CohomologyClass:
@@ -464,15 +459,21 @@ class CohomologyClass:
 
 
 def cohomology(L: LocalSystem, n: int) -> CohomologySpace:
+    """H^n of a flat system.  Z^n is read off the reduced rows of d_n with
+    leftmost pivots, as tails in free-column form, with no dense basis."""
     if n < 0:
         raise DegreeError("cohomology degree must be nonnegative")
     _require_flat(L)
+    image = _RowSpace()
     if not L.base.simplices_of_dim(n):
-        return CohomologySpace(L, n)
-    if n == 0:
-        return _flat_representatives(CohomologySpace(L, 0, _flat_sections(L)))
-    image_columns = coboundary_matrix(L, n - 1).transpose().entries
-    return CohomologySpace(L, n, kernel_basis(coboundary_matrix(L, n)), image_columns)
+        tails = {}
+    elif n == 0:
+        tails = _flat_sections(L)
+    else:
+        image = _RowSpace(coboundary_matrix(L, n - 1).transpose().entries)
+        d_n = coboundary_matrix(L, n)
+        tails = _kernel_tails(_leftmost_rows(d_n.entries, d_n.cols), d_n.cols)
+    return CohomologySpace._from_kept(L, n, _quotient(n, tails, image))
 
 
 def cohomology_dims(L: LocalSystem, up_to: int | None = None) -> tuple:
@@ -483,25 +484,21 @@ def cohomology_dims(L: LocalSystem, up_to: int | None = None) -> tuple:
 
     The formula needs d_n d_{n-1} = 0, which holds exactly when L is flat,
     so flatness is checked first and a violation raises NotFlatError.  Each
-    d_n is built and ranked once; no representatives are chosen."""
+    d_n up to the base dimension is built and ranked once; above it there
+    are no cochains, and the dimensions are 0.  No representatives are
+    chosen."""
+    if up_to is not None and up_to < 0:
+        raise DegreeError("cohomology degree must be nonnegative")
     top = L.base.dimension if up_to is None else up_to
     _require_flat(L)
     dims = []
     rank_prev = 0
-    for n in range(top + 1):
+    for n in range(min(top, L.base.dimension) + 1):
         d_n = coboundary_matrix(L, n)
         rank_n = d_n.rank()
         dims.append(d_n.cols - rank_n - rank_prev)
         rank_prev = rank_n
-    return tuple(dims)
-
-
-def _flat_representatives(space: CohomologySpace) -> CohomologySpace:
-    """Mark the representatives of an H^0 space flat: each is a basis
-    vector of ker d_0."""
-    for phi in space.representatives:
-        phi._flat = True
-    return space
+    return tuple(dims) + (0,) * (top - L.base.dimension)
 
 
 def untwisted_space(c: Complex, n: int) -> CohomologySpace:
@@ -510,14 +507,13 @@ def untwisted_space(c: Complex, n: int) -> CohomologySpace:
     The first call per complex and degree runs ``cohomology`` with all its
     checks and keeps the space's plain data (``CohomologySpace._kept``) in
     ``Complex._untwisted_spaces``; every later call wraps that data around
-    a fresh trivial line and rebuilds only the representative cochains.  The
-    data points to no system and no complex, so the memo makes no reference
-    cycle, and it lives exactly as long as its complex."""
+    a fresh trivial line.  The data points to no system and no complex, so
+    the memo makes no reference cycle, and it lives exactly as long as its
+    complex."""
     L = trivial_system(c, 1)
     kept = c._untwisted_spaces.get(n)
     if kept is not None:
-        space = CohomologySpace._from_kept(L, n, kept)
-        return _flat_representatives(space) if n == 0 else space
+        return CohomologySpace._from_kept(L, n, kept)
     space = cohomology(L, n)
     c._untwisted_spaces[n] = space._kept
     return space
@@ -635,25 +631,19 @@ def _fundamental_cycle_of(space: CohomologySpace) -> dict:
     """``fundamental_cycle`` of the base of an untwisted H^2 space, with no
     elimination of its own.  The rows of the boundary d_2 are the columns of
     the untwisted coboundary d_1, which span B^2, so the reduced rows of the
-    space's echelon of B^2 span them, and their free-column kernel is a
-    basis of the boundary's kernel.  That basis is not the one
-    ``kernel_basis`` of the boundary gives, but the kernel is
-    one-dimensional on the surface models and ``_normalized_cycle`` scales
-    the vector so its first nonzero is 1, so the cycle is the same."""
-    c = space.system.base
-    triangles = len(c.simplices_of_dim(2))
-    return _normalized_cycle(c, _free_column_kernel(space._image.reduced_rows(), triangles))
-
-
-def _normalized_cycle(c: Complex, basis: list) -> dict:
-    if len(basis) != 1:
+    space's echelon of B^2 span them, and their kernel tails give the
+    boundary's kernel.  Their pivots are rightmost and come in ascending
+    order, so every tail lies right of its column, in triangle order: the
+    one null vector of a surface model already has 1 as its first nonzero,
+    and it is the cycle."""
+    triangles = space.system.base.simplices_of_dim(2)
+    kernel = _kernel_tails(space._image.reduced_rows(), len(triangles))
+    if len(kernel) != 1:
         raise InputError(
-            "complex does not carry a unique 2-cycle", cycle_space_dimension=len(basis)
+            "complex does not carry a unique 2-cycle", cycle_space_dimension=len(kernel)
         )
-    vec = basis[0]
-    lead = next(x for x in vec if x != 0)
-    triangles = c.simplices_of_dim(2)
-    return {t: x / lead for t, x in zip(triangles, vec) if x != 0}
+    ((j, tail),) = kernel.items()
+    return {triangles[i]: x for i, x in {j: _ONE, **tail}.items()}
 
 
 def fundamental_cocycle(c: Complex) -> TwistedCochain:

@@ -24,17 +24,34 @@ which are unique, so they are fixed by the input alone and not by the order
 of elimination.  ``rref``, ``kernel_basis``, ``solve``, ``Matrix.rank`` and
 ``Matrix.inverse`` give the form with leftmost pivots: they eliminate the
 rows with their columns reversed and mirror the reduced rows back.  A
-residue that vanishes on a given set of pivot columns is unique, and so is
-the greedy choice of representatives of span(z) / span(b): walking a basis
-of span(z) in order, a vector is kept exactly when it is not in the span of
-b and the vectors before it, which depends on spans alone.
+residue that vanishes on a given set of pivot columns is unique.
 
-A basis in free-column form, as ``kernel_basis`` gives it, has one
-rightmost nonzero column per vector, and the other vectors vanish there.
-``_free_column_tails`` recognizes the form and ``_free_column_form``
-brings any basis to it; membership in such a span is read off a vector's
-own entries, which ``_RowSpace.within`` uses to check an inclusion of
-spans without eliminating the larger one.
+A basis in free-column form has one column per vector, its rightmost
+nonzero, where it is 1 and every other vector of the basis is 0: it is
+the reduced row echelon form of its span with rightmost pivots, so a span
+has exactly one.  The package holds such a basis, and every null space,
+only as ``{column: tail}``, a vector's tail being its other nonzeros.
+``_kernel_tails`` reads a null space off reduced rows (on the leftmost
+ones it is in free-column form, the basis of ``kernel_basis``), and
+``_span_tails`` brings any spanning list to the form.  ``_dense`` makes
+vectors of it only where they are needed: for ``kernel_basis``, for the
+representatives of a cohomology space, and for the fixed vectors that its
+H^0 extends along the spanning tree.  A vector lies in the span exactly when it is the
+combination of the basis with its own entries at the columns as
+coefficients, so ``_RowSpace.within`` checks an inclusion of spans without
+eliminating the larger one.
+
+The greedy choice of representatives of span(z) / span(b), for span(b)
+inside span(z), walks a basis of span(z) in order and keeps a vector
+exactly when it is not in the span of b and the vectors before it, so it
+depends on spans alone.  With z in free-column form it is read off the
+echelon of b: a nonzero member of span(z) has its rightmost nonzero at the
+column of the last vector it uses, so every pivot of b is a column of z.
+The members of span(b) with pivots at or left of the i-th column are
+combinations of the first i vectors, so the span of b and those vectors
+has dimension i plus the number of pivots right of that column, and it
+grows at the i-th vector exactly when its column is not a pivot.  The
+kept vectors are those whose column is not a pivot of b.
 """
 
 from __future__ import annotations
@@ -542,10 +559,9 @@ class _RowSpace:
 
     def within(self, tails: dict) -> bool:
         """Whether the span lies inside the span of a basis in free-column
-        form, given by its ``_free_column_tails``.  A vector x lies in that
-        span exactly when x is the combination of the basis vectors with
-        its own entries at their columns as coefficients, so each row is
-        checked entry for entry, off those columns."""
+        form, given as ``{column: tail}``: each row is checked entry for
+        entry, off the columns, against the combination of the basis with
+        its own entries at the columns as coefficients."""
         for row in self.echelon.values():
             rest = {j: x for j, x in row.items() if j not in tails}
             for c, f in row.items():
@@ -584,68 +600,46 @@ def rref(m: Matrix):
 
 def kernel_basis(m: Matrix) -> list:
     """Deterministic basis of the null space, one vector per free column."""
-    return _free_column_kernel(_leftmost_rows(m.entries, m.cols), m.cols)
+    return _dense(_kernel_tails(_leftmost_rows(m.entries, m.cols), m.cols), m.cols)
 
 
-def _free_column_kernel(reduced: dict, cols: int) -> list:
-    """The null space basis of the reduced rows ``reduced``, ``{pivot:
-    row}`` over ``cols`` columns: one vector per free column j, with 1 at j,
-    0 at the other free columns, and minus ``reduced[p][j]`` at each pivot
-    p.  Row p is 0 at every other pivot, so that entry makes it vanish.
-    With leftmost pivots this is the basis of ``kernel_basis``."""
-    basis = []
-    for j in range(cols):
-        if j in reduced:
-            continue
-        v = [_ZERO] * cols
-        v[j] = _ONE
-        for p, row in reduced.items():
-            x = row.get(j)
-            if x is not None:
-                v[p] = -x
-        basis.append(tuple(v))
-    return basis
-
-
-def _free_column_tails(vectors):
-    """For a basis in free-column form, {column: tail} in order, or None
-    when ``vectors`` are not in that form.
-
-    In free-column form each vector has its own rightmost nonzero column,
-    the vectors come in ascending order of it, the entry there is 1, and
-    every other vector of the basis vanishes there.  ``kernel_basis`` gives
-    its basis in this form.  A vector's tail is its nonzeros left of its
-    column, ``{column: entry}``; no tail meets a column of the basis."""
-    tails = {}
-    last = -1
-    for v in vectors:
-        c = len(v) - 1
-        while c >= 0 and not v[c]:
-            c -= 1
-        if c <= last or v[c] != 1:
-            return None
-        tail = {j: x for j, x in enumerate(v[:c]) if x}
-        if not tails.keys().isdisjoint(tail):
-            return None
-        tails[c] = tail
-        last = c
+def _kernel_tails(reduced: dict, cols: int) -> dict:
+    """The null space of the reduced rows ``reduced``, ``{pivot: row}`` over
+    ``cols`` columns, as ``{free column: tail}`` in ascending order of
+    column: the null vector of free column j is 1 at j, 0 at the other free
+    columns, and its tail, minus ``reduced[p][j]`` at each pivot p in the
+    order of the rows.  Row p is 0 at every other pivot, so that entry makes
+    it vanish.  With leftmost
+    pivots every tail lies left of its column: the basis is in free-column
+    form, and it is the basis of ``kernel_basis``."""
+    tails = {j: {} for j in range(cols) if j not in reduced}
+    for p, row in reduced.items():
+        for j, x in row.items():
+            if j != p:
+                tails[j][p] = -x
     return tails
 
 
-def _free_column_form(vectors) -> list:
-    """The basis of span(vectors) in free-column form (see
-    ``_free_column_tails``): the reduced row echelon form with rightmost
-    pivots, in ascending order of pivot.  It is unique, so it is read off
-    the echelon of the vectors as they come."""
-    if not vectors:
-        return []
-    width = len(vectors[0])
+def _span_tails(vectors) -> dict:
+    """span(vectors) in free-column form: its reduced rows with rightmost
+    pivots, in ascending order of pivot, without their pivot 1.  The form
+    is unique, so it is read off the echelon of the vectors as they come."""
+    reduced = _RowSpace(vectors).reduced_rows()
+    for p, row in reduced.items():
+        del row[p]
+    return reduced
+
+
+def _dense(tails: dict, width: int) -> list:
+    """The vectors of a basis given as ``{column: tail}``, as tuples of
+    ``width`` entries: 1 at the column and the tail's entries."""
     out = []
-    for row in _RowSpace(vectors).reduced_rows().values():
-        dense = [_ZERO] * width
-        for j, x in row.items():
-            dense[j] = x
-        out.append(tuple(dense))
+    for c, tail in tails.items():
+        v = [_ZERO] * width
+        v[c] = _ONE
+        for j, x in tail.items():
+            v[j] = x
+        out.append(tuple(v))
     return out
 
 

@@ -34,7 +34,7 @@ from algebroids import (
 )
 from algebroids import char_classes, linalg, local_systems
 from algebroids.cli import main
-from algebroids.cohomology import _cocycle_dual_to, _fundamental_cycle_of, _normalized_cycle
+from algebroids.cohomology import _cocycle_dual_to, _fundamental_cycle_of
 from algebroids.jsonio import resolve_complex_spec
 
 from conftest import (
@@ -303,7 +303,8 @@ def test_one_query_builds_each_derived_object_once(monkeypatch, fresh_models, ca
     # and certifies the fundamental class
     logs = count_calls(monkeypatch, char_classes, "log_classes")
     spaces = count_calls(monkeypatch, COHOMOLOGY, "cohomology")
-    kernels = count_calls(monkeypatch, COHOMOLOGY, "kernel_basis")
+    kernels = count_calls(monkeypatch, linalg, "kernel_basis")
+    tails = count_calls(monkeypatch, COHOMOLOGY, "_kernel_tails")
     coboundaries = count_calls(monkeypatch, COHOMOLOGY, "coboundary_matrix")
     cups = count_calls(monkeypatch, char_classes, "cup")
     cochains = count_calls(monkeypatch, char_classes.EdgeClass, "to_cochain")
@@ -311,7 +312,7 @@ def test_one_query_builds_each_derived_object_once(monkeypatch, fresh_models, ca
     argv = ["char-classes", "--check-surjectivity", "--json", "--complex", "builtin:torus",
             "--rep", "a=6/5,b=-35/3"]
     for first in (True, False):
-        for calls in (logs, spaces, kernels, coboundaries, cups, cochains, gauges):
+        for calls in (logs, spaces, kernels, tails, coboundaries, cups, cochains, gauges):
             calls.clear()
         assert main(argv) == 0
         assert '"surjective": true' in capsys.readouterr().out
@@ -320,11 +321,13 @@ def test_one_query_builds_each_derived_object_once(monkeypatch, fresh_models, ca
         # the first query of the process builds the untwisted H^2, and no
         # other space; a later one reads it off the model
         assert [(L.rank, n) for L, n in spaces] == ([(1, 2)] if first else [])
-        # the one kernel is Z^2 (d_2 has no rows); the only coboundaries are
-        # the d_1 and d_2 of that space, so the boundary d_2, the transpose
-        # of d_1, is never built again: the cycle is read off the echelon
-        # form of B^2
-        assert [(m.rows, m.cols) for (m,) in kernels] == ([(0, 18)] if first else [])
+        # no dense kernel: Z^2 is read off d_2, which has no rows, as
+        # tails, and the cycle off the echelon form of B^2, which has rank
+        # 17; the only coboundaries are the d_1 and d_2 of that space, so
+        # the boundary d_2, the transpose of d_1, is never built again
+        assert kernels == []
+        assert [(len(rows), cols) for rows, cols in tails] == (
+            [(0, 18), (17, 18)] if first else [(17, 18)])
         assert [(L.rank, n) for L, n in coboundaries] == ([(1, 1), (1, 2)] if first else [])
         # each of the four classes becomes a cochain once
         assert len(cochains) == 4
@@ -344,9 +347,16 @@ def test_the_surjectivity_test_compares_the_shared_torus_with_itself(monkeypatch
 
 def reference_fundamental_cycle(c):
     """The fundamental cycle from the kernel of the boundary d_2, the
-    transposed untwisted d_1, which ``kernel_basis`` eliminates on its own."""
+    transposed untwisted d_1, which ``kernel_basis`` eliminates on its own,
+    scaled so its first nonzero is 1."""
     boundary = coboundary_matrix(trivial_system(c, 1), 1).transpose()
-    return _normalized_cycle(c, kernel_basis(boundary))
+    basis = kernel_basis(boundary)
+    if len(basis) != 1:
+        raise InputError(
+            "complex does not carry a unique 2-cycle", cycle_space_dimension=len(basis)
+        )
+    lead = next(x for x in basis[0] if x)
+    return {t: x / lead for t, x in zip(c.simplices_of_dim(2), basis[0]) if x}
 
 
 @pytest.mark.parametrize("spec", ["builtin:torus"] + [

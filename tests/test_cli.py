@@ -112,6 +112,14 @@ def test_rank_without_an_inline_rep_is_refused(run, argv):
     assert "--rank" in err
 
 
+def test_a_generator_given_twice_in_an_inline_rep_is_refused(run):
+    """The last value used to win: a=2,a=1,b=1 printed the untwisted dims."""
+    err = _refused(run, "cohomology", "--complex", "builtin:torus", "--rep", "a=2,a=1,b=1")
+    assert err == "error [BAD_INPUT]: --rep gives generator 'a' twice\n"
+    err = _refused(run, "cohomology", "--complex", "builtin:torus", "--rep", "a=2, b=1 ,b=1")
+    assert "'b'" in err
+
+
 def test_cohomology_text_output(run):
     code, out, _ = run(
         "cohomology", "--complex", "builtin:torus", "--rep", "a=2,b=1"

@@ -7,7 +7,9 @@ coboundaries of gauged flat systems, where elimination fills in.  The one echelo
 with rightmost pivots, must agree with the dense reference on everything a
 caller reads of a span: its rank, pivots, membership, residues and null
 space; and its back-reduced rows must be the mirrored dense reduced form of
-the column-reversed rows, whatever order the rows come in.
+the column-reversed rows, whatever order the rows come in.  The null
+spaces and free-column forms the package holds as ``{column: tail}`` must
+be the dense ones, column for column.
 Ranks are also checked against sympy, and the rank-based
 ``cohomology_dims`` against the dimensions of the spaces ``cohomology``
 builds.
@@ -34,7 +36,7 @@ from algebroids import (
     zero_cochain,
 )
 from algebroids.cohomology import CohomologySpace
-from algebroids.linalg import _RowSpace, _free_column_kernel, _free_column_tails
+from algebroids.linalg import _RowSpace, _dense, _kernel_tails, _leftmost_rows, _span_tails
 
 from conftest import (
     image_columns,
@@ -219,28 +221,6 @@ def test_row_space_residues_vanish_on_the_pivots_and_differ_by_the_span():
         assert combined == {j: x for j, x in expected.items() if x}
 
 
-def test_free_column_kernel_of_the_reduced_rows_is_the_dense_null_space():
-    """On the reduced rows with rightmost pivots the free-column kernel has
-    minus column j of the dense reduced rows at the pivots: a basis of the
-    dense null space, one vector per free column."""
-    for _, m in cases():
-        basis = _free_column_kernel(_RowSpace(m.entries).reduced_rows(), m.cols)
-        dense = _dense_rightmost_rows(m.entries, m.cols)
-        expected = []
-        for j in range(m.cols):
-            if j not in dense:
-                v = [Fraction(0)] * m.cols
-                v[j] = Fraction(1)
-                for p, row in dense.items():
-                    v[p] = -row.get(j, Fraction(0))
-                expected.append(tuple(v))
-        assert basis == expected
-        assert len(basis) == len(dense_kernel_basis(m))
-        assert _dense_rank(basis, m.cols) == len(basis)
-        for v in basis:
-            assert not any(m.apply(v))
-
-
 def test_reduced_rows_are_the_unique_dense_form_in_any_row_order():
     """The back-reduced rows are the mirrored ``dense_rref`` of the
     column-reversed rows, in ascending order of pivot, and the same for
@@ -280,6 +260,74 @@ def test_sparse_coboundaries_match_the_dense_reference():
         assert solve(m, m.apply(x)) is not None
 
 
+def _tail_cases():
+    """Every kind of ``cases()`` and the gauged d_0 and d_1 of rank 1 to 3."""
+    yield from cases()
+    yield from _sparse_coboundaries()
+
+
+def test_kernel_tails_of_the_leftmost_reduced_rows_are_the_dense_kernel_basis():
+    """On the reduced rows with leftmost pivots the tails are minus column
+    j of the dense reduced rows at the pivots, each left of its column j,
+    and their vectors are ``dense_kernel_basis``, entry for entry."""
+    for _, m in _tail_cases():
+        tails = _kernel_tails(_leftmost_rows(m.entries, m.cols), m.cols)
+        _, red, pivots = dense_rref(m.entries, m.cols)
+        assert tails == {
+            j: {p: -row[j] for p, row in zip(pivots, red) if row[j]}
+            for j in range(m.cols) if j not in pivots
+        }
+        assert list(tails) == sorted(tails)
+        for j, tail in tails.items():
+            assert all(p < j for p in tail) and not tail.keys() & tails.keys()
+        basis = _dense(tails, m.cols)
+        assert basis == dense_kernel_basis(m) == kernel_basis(m)
+        for v in basis:
+            assert not any(m.apply(v))
+
+
+def test_kernel_tails_of_the_rightmost_reduced_rows_span_the_dense_null_space():
+    """On the reduced rows with rightmost pivots the tails are minus column
+    j of the dense reference's rows at the pivots, each right of its column
+    j, and their vectors are an independent basis of the null space."""
+    for _, m in _tail_cases():
+        tails = _kernel_tails(_RowSpace(m.entries).reduced_rows(), m.cols)
+        dense = _dense_rightmost_rows(m.entries, m.cols)
+        assert tails == {
+            j: {p: -row[j] for p, row in dense.items() if j in row}
+            for j in range(m.cols) if j not in dense
+        }
+        for j, tail in tails.items():
+            assert all(p > j for p in tail)
+        basis = _dense(tails, m.cols)
+        assert len(basis) == len(dense_kernel_basis(m))
+        assert _dense_rank(basis, m.cols) == len(basis)
+        for v in basis:
+            assert not any(m.apply(v))
+
+
+def test_span_tails_are_the_dense_free_column_form_in_any_order():
+    """The free-column form of a span is the dense reduced form with
+    rightmost pivots, without the pivot 1, whatever order the vectors come
+    in; the form of a kernel basis is its own tails."""
+    for rng, m in _tail_cases():
+        expected = {
+            p: {j: x for j, x in row.items() if j != p}
+            for p, row in _dense_rightmost_rows(m.entries, m.cols).items()
+        }
+        rows = list(m.entries)
+        for _ in range(2):
+            tails = _span_tails(rows)
+            assert tails == expected
+            assert list(tails) == sorted(tails)
+            rng.shuffle(rows)
+        for j, tail in tails.items():
+            assert all(k < j for k in tail) and not tail.keys() & tails.keys()
+        kernel = _kernel_tails(_leftmost_rows(m.entries, m.cols), m.cols)
+        assert _span_tails(kernel_basis(m)) == kernel
+        assert _span_tails(_dense(kernel, m.cols)[::-1]) == kernel
+
+
 def test_inverse_matches_the_dense_reduced_form_of_the_augmented_matrix():
     """``Matrix.inverse`` is the right block of ``dense_rref`` of [A | I],
     or refuses A when its left block has a rank below n, on seeded
@@ -314,7 +362,7 @@ def test_coordinates_on_the_rank_form_match_a_dense_solve(rank):
         for n in range(base.dimension + 1):
             space = cohomology(L, n)
             image = image_columns(L, n)
-            columns = [tuple(v) for v in space._rep_vectors] + image
+            columns = [phi.vector() for phi in space.representatives] + image
             for _ in range(2):
                 phi = zero_cochain(L, n)
                 for rep in space.representatives:
@@ -367,11 +415,11 @@ def test_a_basis_holding_every_pivot_but_missing_part_of_the_image_is_refused():
         image = image_columns(L, 1)
         pivots = set(_RowSpace(image).pivots)
         width = len(z[0])
-        for i, c in enumerate(_free_column_tails(z)):
+        for i, c in enumerate(_span_tails(z)):
             if c in pivots:
                 continue
             smaller = z[:i] + z[i + 1:]
-            assert pivots <= set(_free_column_tails(smaller))
+            assert pivots <= _span_tails(smaller).keys()
             if _dense_rank(smaller + image, width) == _dense_rank(smaller, width):
                 CohomologySpace(L, 1, smaller, image)
                 continue
@@ -398,11 +446,14 @@ def test_a_foreign_cocycle_basis_is_brought_to_free_column_form(base):
         mix = [rand_fraction(rng) for _ in r[1:]]
         foreign = [tuple(2 * a + f * b for a, b in zip(u, w))
                    for u, w, f in zip(r, r[1:], mix)] + [tuple(2 * a for a in r[-1])]
-        assert _free_column_tails(foreign) is None
-        assert _dense_rank(foreign, len(z[0])) == len(z)
+        width = len(z[0])
+        assert _dense(_span_tails(foreign), width) == z != foreign
+        assert _dense_rank(foreign, width) == len(z)
         image = image_columns(L, n)
         space, reference = CohomologySpace(L, n, foreign, image), cohomology(L, n)
-        assert space._rep_vectors == reference._rep_vectors
+        assert space._tails == reference._tails
+        assert ([phi.vector() for phi in space.representatives]
+                == [phi.vector() for phi in reference.representatives])
         assert space.dimension == reference.dimension
         dims.append(space.dimension)
         for _ in range(2):

@@ -16,6 +16,10 @@ There is no linter in the toolchain, so these walk the syntax trees:
 - a ``_RowSpace`` has one echelon form: no call in the package or its
   tests passes it a keyword or a second argument, so a second form cannot
   come back as a flag;
+- only ``linalg.py`` uses ``kernel_basis`` or ``rref``, which give dense
+  answers: every other module reads null spaces as ``{column: tail}`` and
+  ranks, spans and residues off a ``_RowSpace``.  The two stay public for
+  library callers and tests, and ``__init__.py`` only re-exports them;
 - the computations do not know the output format: ``linalg``,
   ``complexes``, ``local_systems``, ``cohomology``, ``algebroid`` and
   ``char_classes`` import neither ``jsonio`` nor ``cli``, and no module but
@@ -226,6 +230,42 @@ def test_the_check_finds_an_option_passed_to_a_row_space(tmp_path):
 
 # the modules that compute, and so return objects and never report bytes
 COMPUTATIONS = {"linalg", "complexes", "local_systems", "cohomology", "algebroid", "char_classes"}
+
+
+# the eliminations with dense answers, which only linalg itself uses
+DENSE_ELIMINATIONS = {"kernel_basis", "rref"}
+
+
+def dense_eliminations(path: Path) -> list:
+    """(line, name) of every use of ``kernel_basis`` or ``rref`` in a module,
+    by name or as an attribute: a call, or the function read to be called
+    later.  An import that only re-exports the name is not a use."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in DENSE_ELIMINATIONS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_only_linalg_uses_the_dense_eliminations():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "linalg"
+        for line, name in dense_eliminations(path)
+    ]
+    assert found == []
+    assert dense_eliminations(PACKAGE / "linalg.py")
+
+
+def test_the_check_finds_a_use_of_a_dense_elimination(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from .linalg import Matrix, kernel_basis, rref\nfrom . import linalg\n"
+                    "def f(m):\n    basis = kernel_basis(m)\n    rank = m.rank()\n"
+                    "    reduce = linalg.rref\n    return rref(m)[0], basis, reduce\n")
+    assert dense_eliminations(path) == [(4, "kernel_basis"), (6, "rref"), (7, "rref")]
 
 
 def package_imports(path: Path) -> list:

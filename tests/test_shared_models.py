@@ -144,7 +144,7 @@ def _kept(c):
     copy of their plain data."""
     kept = dict(c._untwisted_spaces)
     return kept, copy.deepcopy({
-        n: (vars(image), tails, reps) for n, (image, tails, reps) in kept.items()
+        n: (vars(image), tails) for n, (image, tails) in kept.items()
     })
 
 
