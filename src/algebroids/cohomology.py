@@ -8,11 +8,16 @@ coboundary transports the front face back to that vertex:
         = T(v0, v1) * phi(v1, ..., v_{n+1})
           + sum_{i >= 1} (-1)^i phi(v0, ..., v_i dropped, ..., v_{n+1})
 
-d squares to zero exactly when the system is flat.  Everything here is exact
-rational linear algebra over the one forward-only echelon of the linalg
-module: kernels are read off its fully reduced rows, which are unique, and
-quotient representatives depend only on spans, so bases are stable across
-runs.  Dimensions alone need only ranks.
+d squares to zero exactly when the system is flat.  The formula is written
+once, in ``_coboundary_rows``: sparse rows of d_n that ``coboundary``
+applies, ``coboundary_matrix`` makes dense for ``cohomology_dims`` and
+``cohomology`` eliminates as they are.  So ``char-classes`` and
+``chern-weil`` answer on tori up to 200x200, while the dims of the
+``cohomology`` command run out of memory past about 80x80.  Everything
+here is exact rational linear algebra over the one forward-only echelon of
+the linalg module: kernels are read off its fully reduced rows, which are
+unique, and quotient representatives depend only on spans, so bases are
+stable across runs.  Dimensions alone need only ranks.
 
 Each space holds Z^n in free-column form and keeps a forward-only echelon
 form of B^n, and reads H^n off it by the greedy choice (both are defined
@@ -29,14 +34,11 @@ line on every later call.  Only this module writes that memo, and no
 caller may change what it holds.  The fundamental cycle is read off the
 kept H^2.
 
-A section is tested for flatness edge by edge, T(i, j) phi(j) ==
-phi(i), and both that test and the coboundary skip the product wherever
-the transport is the identity, as it is on every tree edge in tree gauge.
-A cochain keeps the test's answer, and the H^0 representatives are flat
-when built, so only sections from outside the package are walked.
-Cochains computed by the package itself are built by
-``TwistedCochain._trusted``; the public constructor still checks and
-coerces what callers pass.
+A section is flat exactly when its coboundary is zero.  A cochain keeps
+that answer, and the H^0 representatives are flat when built, so only
+sections from outside the package are tested.  Cochains computed by the
+package itself are built by ``TwistedCochain._trusted``; the public
+constructor still checks and coerces what callers pass.
 """
 
 from __future__ import annotations
@@ -148,12 +150,6 @@ class TwistedCochain:
             out.extend(self.values[s])
         return tuple(out)
 
-    @classmethod
-    def from_vector(cls, system: LocalSystem, degree: int, vec: Sequence) -> "TwistedCochain":
-        if len(vec) != len(system.base.simplices_of_dim(degree)) * system.rank:
-            raise InputError("coordinate vector has the wrong length")
-        return cls(system, degree, _by_simplex(system, degree, vec))
-
     def _check_compatible(self, other):
         if not isinstance(other, TwistedCochain):
             raise InputError("expected a cochain")
@@ -221,67 +217,59 @@ def _act(t: Matrix, v: tuple) -> tuple:
     return v if t.is_identity() else t.apply(v)
 
 
-def coboundary(phi: TwistedCochain) -> TwistedCochain:
-    L = phi.system
-    n = phi.degree
-    values = phi.values
-    out = {}
+def _coboundary_rows(L: LocalSystem, n: int):
+    """The rows of d_n : C^n -> C^{n+1} in the flattened coordinate bases,
+    as ``{column: nonzero}``, r rows per (n+1)-simplex tau in simplex order:
+    row a holds row a of the transport block T(tau_0, tau_1) at the front
+    face and (-1)^i at fiber coordinate a of the face without tau_i.  The
+    faces are distinct, so no entry is written twice."""
+    r = L.rank
+    col_of = {s: i * r for i, s in enumerate(L.base.simplices_of_dim(n))}
+    signs = (_ONE, -_ONE)
     for tau in L.base.simplices_of_dim(n + 1):
-        acc = list(_act(L.matrix(tau[0], tau[1]), values[tau[1:]]))
-        sign = -1
-        for i in range(1, n + 2):
-            face_value = values[tau[:i] + tau[i + 1 :]]
-            for a in range(L.rank):
-                acc[a] += sign * face_value[a]
-            sign = -sign
-        out[tau] = tuple(acc)
-    return TwistedCochain._trusted(L, n + 1, out)
+        front = col_of[tau[1:]]
+        faces = [(col_of[tau[:i] + tau[i + 1 :]], signs[i % 2]) for i in range(1, n + 2)]
+        for a, entries in enumerate(L.matrix(tau[0], tau[1]).entries):
+            row = {front + b: x for b, x in enumerate(entries) if x}
+            for j, sign in faces:
+                row[j + a] = sign
+            yield row
+
+
+def coboundary(phi: TwistedCochain) -> TwistedCochain:
+    """d phi, the rows of d_n applied to phi's vector.  With no
+    (n+1)-simplices d phi is the empty cochain, and no vector is built."""
+    L, n = phi.system, phi.degree
+    if not L.base.simplices_of_dim(n + 1):
+        return TwistedCochain._trusted(L, n + 1, {})
+    vec = phi.vector()
+    out = [sum(x * vec[j] for j, x in row.items()) for row in _coboundary_rows(L, n)]
+    return TwistedCochain._trusted(L, n + 1, _by_simplex(L, n + 1, out))
 
 
 def is_flat_section(phi: TwistedCochain) -> bool:
-    """Whether a 0-cochain is flat: T(i, j) phi(j) == phi(i) on every edge
-    (i, j), which is exactly ``coboundary(phi).is_zero()`` without building
-    the coboundary.  The answer is computed once per cochain and kept on
-    it, as ``check_flat`` keeps its own on a system; the representatives of
-    an H^0 space start out flat."""
+    """Whether a 0-cochain is flat, ``coboundary(phi).is_zero()``: computed
+    once per cochain and kept on it, as ``check_flat`` keeps its own on a
+    system.  The representatives of an H^0 space start out flat."""
     if phi.degree != 0:
         raise DegreeError("a flat section is a 0-cochain")
     if phi._flat is None:
-        L = phi.system
-        values = phi.values
-        phi._flat = all(
-            _act(L.matrix(i, j), values[(j,)]) == values[(i,)] for i, j in L.base.edges
-        )
+        phi._flat = coboundary(phi).is_zero()
     return phi._flat
 
 
 def coboundary_matrix(L: LocalSystem, n: int) -> Matrix:
-    """Matrix of d_n : C^n -> C^{n+1} in the flattened coordinate bases,
-    assembled from its nonzeros: per (n+1)-simplex tau, the transport block
-    T(tau_0, tau_1) at the front face and (-1)^i times the identity at the
-    face without tau_i.  The faces are distinct, so no entry is written
-    twice."""
+    """Matrix of d_n : C^n -> C^{n+1} in the flattened coordinate bases:
+    the rows of ``_coboundary_rows``, made dense."""
     if n < 0:
         raise DegreeError("coboundary degree must be nonnegative")
-    base = L.base
-    r = L.rank
-    src = base.simplices_of_dim(n)
-    dst = base.simplices_of_dim(n + 1)
-    col_of = {s: i for i, s in enumerate(src)}
-    zero, one = Fraction(0), Fraction(1)
-    signs = (one, -one)
-    ncols = len(src) * r
+    ncols = len(L.base.simplices_of_dim(n)) * L.rank
     rows = []
-    for tau in dst:
-        block = [[zero] * ncols for _ in range(r)]
-        j0 = col_of[tau[1:]] * r
-        for a, entries in enumerate(L.matrix(tau[0], tau[1]).entries):
-            block[a][j0 : j0 + r] = entries
-        for i in range(1, n + 2):
-            j0 = col_of[tau[:i] + tau[i + 1 :]] * r
-            for a in range(r):
-                block[a][j0 + a] = signs[i % 2]
-        rows.extend(map(tuple, block))
+    for row in _coboundary_rows(L, n):
+        dense = [_ZERO] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        rows.append(tuple(dense))
     return Matrix._trusted(tuple(rows), ncols)
 
 
@@ -459,20 +447,26 @@ class CohomologyClass:
 
 
 def cohomology(L: LocalSystem, n: int) -> CohomologySpace:
-    """H^n of a flat system.  Z^n is read off the reduced rows of d_n with
-    leftmost pivots, as tails in free-column form, with no dense basis."""
+    """H^n of a flat system.  B^n is spanned by the columns of d_{n-1}, and
+    Z^n is read off the reduced rows of d_n with leftmost pivots, as tails
+    in free-column form.  Both come from the sparse rows of
+    ``_coboundary_rows``, so no dense matrix is built."""
     if n < 0:
         raise DegreeError("cohomology degree must be nonnegative")
     _require_flat(L)
     image = _RowSpace()
-    if not L.base.simplices_of_dim(n):
+    width = len(L.base.simplices_of_dim(n)) * L.rank
+    if not width:
         tails = {}
     elif n == 0:
         tails = _flat_sections(L)
     else:
-        image = _RowSpace(coboundary_matrix(L, n - 1).transpose().entries)
-        d_n = coboundary_matrix(L, n)
-        tails = _kernel_tails(_leftmost_rows(d_n.entries, d_n.cols), d_n.cols)
+        columns = [{} for _ in range(len(L.base.simplices_of_dim(n - 1)) * L.rank)]
+        for i, row in enumerate(_coboundary_rows(L, n - 1)):
+            for j, x in row.items():
+                columns[j][i] = x
+        image = _RowSpace(columns)
+        tails = _kernel_tails(_leftmost_rows(_coboundary_rows(L, n), width), width)
     return CohomologySpace._from_kept(L, n, _quotient(n, tails, image))
 
 

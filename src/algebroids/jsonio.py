@@ -30,13 +30,15 @@ from .local_systems import LocalSystem, from_representation
 
 SCHEMA_VERSION = "1"
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/-?\d+)?$")
+# ASCII digits over the whole string: a signed denominator, a non-ASCII
+# digit and a trailing newline are all refused
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"expected a rational like '3/2', got {text!r}")
     try:
         return Fraction(text)
@@ -269,6 +271,8 @@ def load_json(path: str):
         raise SchemaError(f"file not found: {path}") from None
     except ValueError as exc:  # bad JSON, bad UTF-8, or too many digits
         raise SchemaError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def dump_json(data) -> str:

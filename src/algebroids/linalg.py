@@ -507,9 +507,10 @@ class _RowSpace:
         return self.echelon.keys()
 
     def reduce(self, vec) -> dict:
-        """The residue of vec modulo the row space: zero in every pivot
-        column, returned as a new sparse dict."""
-        v = {j: x for j, x in enumerate(vec) if x}
+        """The residue of vec, a dense sequence or a ``{column: nonzero}``
+        row, modulo the row space: zero in every pivot column, returned as a
+        new sparse dict."""
+        v = dict(vec) if isinstance(vec, dict) else {j: x for j, x in enumerate(vec) if x}
         rows = self.echelon
         queued = {j for j in v if j in rows}
         heap = [-j for j in queued]
@@ -537,9 +538,6 @@ class _RowSpace:
         inv = _ONE / residue[p]
         self.echelon[p] = {j: inv * x for j, x in residue.items()}
         return True
-
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
 
     def reduced_rows(self) -> dict:
         """The reduced row echelon form of the span with rightmost pivots,
@@ -574,11 +572,14 @@ class _RowSpace:
 
 
 def _leftmost_rows(rows, width: int) -> dict:
-    """The reduced row echelon form of ``rows`` with leftmost pivots,
-    ``{pivot: row}``: the mirror of the reduced rows of the rows with their
-    ``width`` columns reversed."""
+    """The reduced row echelon form of ``rows``, dense or ``{column:
+    nonzero}``, with leftmost pivots, ``{pivot: row}``: the mirror of the
+    reduced rows of the rows with their ``width`` columns reversed."""
     last = width - 1
-    mirrored = _RowSpace(row[::-1] for row in rows).reduced_rows()
+    mirrored = _RowSpace(
+        {last - j: x for j, x in row.items()} if isinstance(row, dict) else row[::-1]
+        for row in rows
+    ).reduced_rows()
     return {last - p: {last - j: x for j, x in row.items()} for p, row in mirrored.items()}
 
 

@@ -1,15 +1,18 @@
-"""Dense Gauss-Jordan elimination, kept only as a test oracle.
+"""Dense Gauss-Jordan elimination and the coboundary simplex by simplex,
+kept only as test oracles.
 
 This is the row reduction the package once ran on every query: dense rows,
 pivot in the leftmost column that has a nonzero, taken from the first such
 row.  The differential tests compare the sparse kernel in ``linalg`` with
 it.  Kernel bases, quotient representatives and solutions are rebuilt here
-from this one loop, so they share no code with the package.
+from this one loop, so they share no code with the package.  The
+coboundary is summed face by face on each simplex, as the package once did,
+so it shares no code with the package's sparse rows of d_n.
 """
 
 from fractions import Fraction
 
-from algebroids import NotASubspaceError
+from algebroids import NotASubspaceError, TwistedCochain
 
 
 def dense_rref(rows, ncols):
@@ -90,3 +93,19 @@ def dense_quotient_basis(z_vectors, b_vectors):
             "second span is not contained in the first", vector_index=outside[0]
         )
     return [tuple(z_vectors[i]) for i in _new_columns(b_vectors, z_vectors, width)]
+
+
+def reference_coboundary(phi):
+    """d phi, one (n+1)-simplex tau at a time: T(tau_0, tau_1) times the
+    value on the front face, plus (-1)^i times the value on the face without
+    tau_i for each i >= 1."""
+    L, n = phi.system, phi.degree
+    out = {}
+    for tau in L.base.simplices_of_dim(n + 1):
+        acc = list(L.matrix(tau[0], tau[1]).apply(phi.value(tau[1:])))
+        for i in range(1, n + 2):
+            face_value = phi.value(tau[:i] + tau[i + 1 :])
+            for a in range(L.rank):
+                acc[a] += (-1) ** i * face_value[a]
+        out[tau] = tuple(acc)
+    return TwistedCochain(L, n + 1, out)

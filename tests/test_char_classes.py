@@ -305,7 +305,7 @@ def test_one_query_builds_each_derived_object_once(monkeypatch, fresh_models, ca
     spaces = count_calls(monkeypatch, COHOMOLOGY, "cohomology")
     kernels = count_calls(monkeypatch, linalg, "kernel_basis")
     tails = count_calls(monkeypatch, COHOMOLOGY, "_kernel_tails")
-    coboundaries = count_calls(monkeypatch, COHOMOLOGY, "coboundary_matrix")
+    coboundaries = count_calls(monkeypatch, COHOMOLOGY, "_coboundary_rows")
     cups = count_calls(monkeypatch, char_classes, "cup")
     cochains = count_calls(monkeypatch, char_classes.EdgeClass, "to_cochain")
     gauges = count_calls(monkeypatch, local_systems, "_tree_gauge")
@@ -323,8 +323,10 @@ def test_one_query_builds_each_derived_object_once(monkeypatch, fresh_models, ca
         assert [(L.rank, n) for L, n in spaces] == ([(1, 2)] if first else [])
         # no dense kernel: Z^2 is read off d_2, which has no rows, as
         # tails, and the cycle off the echelon form of B^2, which has rank
-        # 17; the only coboundaries are the d_1 and d_2 of that space, so
-        # the boundary d_2, the transpose of d_1, is never built again
+        # 17; the only rows of a coboundary are those of d_1 and d_2 for
+        # that space, so the boundary d_2, whose rows are the columns of
+        # d_1, is never built again, and a class in the top degree costs
+        # no coboundary
         assert kernels == []
         assert [(len(rows), cols) for rows, cols in tails] == (
             [(0, 18), (17, 18)] if first else [(17, 18)])

@@ -307,19 +307,19 @@ def _patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
-def test_chern_weil_walks_a_callers_section_once_per_nonidentity_edge(run, monkeypatch):
+def test_chern_weil_walks_a_callers_section_once(run, monkeypatch):
     """A rank-3 query walks none of its sections: they are the
     representatives of an H^0 space, flat when built.  A section a caller
-    builds is walked once, applying each edge transport that is not the
-    identity exactly once, and is refused when it is not flat.  The
-    flatness law multiplies no triple with an identity factor."""
+    builds is walked once, in one pass over the rows of d_0, and is refused
+    when it is not flat.  The flatness law multiplies no triple with an
+    identity factor."""
     cohomology = sys.modules["algebroids.cohomology"]
     local_systems = sys.modules["algebroids.local_systems"]
 
-    applied = []  # per section check: (transport object, value) per apply
+    applied = []  # per section check: the degree of each pass over rows of d
     products = []  # per flatness check: factor pairs multiplied
     frames = []  # (log, entry) of the checks running
-    apply, mul = Matrix.apply, Matrix.__mul__
+    rows, mul = cohomology._coboundary_rows, Matrix.__mul__
     is_flat_section, check_flat = cohomology.is_flat_section, local_systems.check_flat
 
     def within(log, fn):
@@ -332,17 +332,17 @@ def test_chern_weil_walks_a_callers_section_once_per_nonidentity_edge(run, monke
                 frames.pop()
         return wrapped
 
-    def counting_apply(m, vec):
+    def counting_rows(L, n):
         if frames and frames[-1][0] is applied:
-            frames[-1][1].append((id(m), tuple(vec)))
-        return apply(m, vec)
+            frames[-1][1].append(n)
+        return rows(L, n)
 
     def counting_mul(a, b):
         if frames and frames[-1][0] is products:
             frames[-1][1].append((a, b))
         return mul(a, b)
 
-    monkeypatch.setattr(Matrix, "apply", counting_apply)
+    monkeypatch.setattr(cohomology, "_coboundary_rows", counting_rows)
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
     _patch_everywhere(monkeypatch, is_flat_section, within(applied, is_flat_section))
     _patch_everywhere(monkeypatch, check_flat, within(products, check_flat))
@@ -371,10 +371,8 @@ def test_chern_weil_walks_a_callers_section_once_per_nonidentity_edge(run, monke
         section = TwistedCochain(built.system, 0, built.values)
         del applied[:]
         assert chern_weil(A, section, k) == chern_weil(A, section, k) == chern_weil(A, built, k)
-        walks = [keys for keys in applied if keys]
-        assert len(applied) == 3 and len(walks) == 1
-        moved = [e for e in c.edges if not built.system.matrix(*e).is_identity()]
-        assert len(walks[0]) == len(moved) < len(c.edges)
+        walks = [degrees for degrees in applied if degrees]
+        assert len(applied) == 3 and walks == [[0]]
         values = dict(built.values)
         values[(5,)] = tuple(x + 1 for x in values[(5,)])
         with pytest.raises(NotInvariantError):
@@ -714,6 +712,49 @@ def test_the_highest_power_of_a_line_in_the_bound_answers():
     proc = _limited_cli_process(*RANK1_TORUS, "--min-k", "219", "--max-k", "219", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "k=219: invariant sections 0, image {0}\n"
+
+
+def test_deeply_nested_json_fails_typed(tmp_path):
+    """200,000 nested brackets used to print a RecursionError traceback from
+    the JSON parser, with no error line."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    proc = _limited_cli_process("validate", "--complex", str(path), timeout=10)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["code"] == "BAD_SCHEMA"
+    assert error["message"].endswith("nested too deeply")
+
+
+def test_a_signed_denominator_is_not_a_rational(run):
+    """``1/-2`` used to pass the pattern and be refused by Fraction, which
+    the message then called too many digits."""
+    code, out, err = run("cohomology", "--complex", "builtin:torus", "--rep", "a=1/-2,b=1")
+    assert (code, out) == (1, "")
+    assert err == "error [BAD_SCHEMA]: expected a rational like '3/2', got '1/-2'\n"
+
+
+def test_a_non_ascii_digit_is_not_a_rational(run):
+    """A fullwidth 1 used to be read as 1: ``a=\uff11,b=1`` printed the
+    untwisted dims H0=1 H1=2 H2=1."""
+    code, out, err = run("cohomology", "--complex", "builtin:torus", "--rep", "a=\uff11,b=1")
+    assert (code, out) == (1, "")
+    assert err == "error [BAD_SCHEMA]: expected a rational like '3/2', got '\uff11'\n"
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (("char-classes", "--rep", "a=6/5,b=-35/3"), "image dims: H1=2 H2=1"),
+    (("chern-weil", "--rep", "a=1,b=1", "--omega", "fundamental", "--max-k", "1"),
+     "k=1: invariant sections 1, nonzero classes (1/1)"),
+])
+def test_the_class_commands_answer_on_the_100x100_torus(argv, last_line):
+    """The untwisted H^2 of the 100x100 torus is eliminated from the sparse
+    rows of d_1 and d_2: the dense transposed d_1 alone, 20,000 x 30,000
+    entries, used to run both commands out of memory."""
+    proc = _limited_cli_process(*argv, "--complex", "builtin:torus100x100", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == last_line
 
 
 def test_a_huge_degree_answers_without_a_coboundary_per_degree():

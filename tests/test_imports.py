@@ -11,11 +11,14 @@ There is no linter in the toolchain, so these walk the syntax trees:
   is read its ``parent`` or ``order``: every other module takes loop sums,
   holonomies and frames from the one pass each of those makes;
 - only ``linalg.py`` reads the rows of a ``_RowSpace``, its ``echelon``:
-  every other module asks for its ``pivots``, its length, ``reduce``,
-  ``contains`` or ``reduced_rows``;
+  every other module asks for its ``pivots``, its length, ``reduce`` or
+  ``reduced_rows``;
 - a ``_RowSpace`` has one echelon form: no call in the package or its
   tests passes it a keyword or a second argument, so a second form cannot
   come back as a flag;
+- only ``cohomology_dims`` builds the dense ``coboundary_matrix``: every
+  other computation reads the sparse rows of d_n, and the matrix stays
+  public for library callers and tests;
 - only ``linalg.py`` uses ``kernel_basis`` or ``rref``, which give dense
   answers: every other module reads null spaces as ``{column: tail}`` and
   ranks, spans and residues off a ``_RowSpace``.  The two stay public for
@@ -266,6 +269,49 @@ def test_the_check_finds_a_use_of_a_dense_elimination(tmp_path):
                     "def f(m):\n    basis = kernel_basis(m)\n    rank = m.rank()\n"
                     "    reduce = linalg.rref\n    return rref(m)[0], basis, reduce\n")
     assert dense_eliminations(path) == [(4, "kernel_basis"), (6, "rref"), (7, "rref")]
+
+
+def coboundary_matrix_uses(path: Path) -> list:
+    """(line, enclosing function) of every use of ``coboundary_matrix`` in a
+    module, by name or as an attribute: a call, or the function read to be
+    called later.  An import that only re-exports the name is not a use,
+    and a use outside any function is owned by ``None``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name == "coboundary_matrix":
+                found.append((child.lineno, owner))
+            visit(child, owner)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_only_cohomology_dims_builds_the_dense_coboundary():
+    """Every other computation reads the sparse rows of d_n from
+    ``_coboundary_rows``; ``coboundary_matrix`` stays public for library
+    callers and tests."""
+    found = [
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, owner in coboundary_matrix_uses(path)
+    ]
+    assert found == [("cohomology.py", "cohomology_dims")]
+
+
+def test_the_check_finds_a_use_of_the_dense_coboundary(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from .cohomology import coboundary_matrix\nfrom . import cohomology\n"
+                    "def f(L):\n    return coboundary_matrix(L, 1)\n"
+                    "def g(L):\n    build = cohomology.coboundary_matrix\n    return build\n"
+                    "TOP = coboundary_matrix\n")
+    assert coboundary_matrix_uses(path) == [(4, "f"), (6, "g"), (8, None)]
 
 
 def package_imports(path: Path) -> list:

@@ -35,7 +35,9 @@ def test_parse_rational_forms():
     assert parse_rational("-7/3") == Fraction(-7, 3)
     assert parse_rational("5") == Fraction(5)
     assert parse_rational(5) == Fraction(5)
-    for bad in ("3/0", "1.5", "a/b", "", None, True, [1]):
+    # a signed denominator, non-ASCII digits and a trailing newline too
+    for bad in ("3/0", "1.5", "a/b", "", None, True, [1], "1/-2", "-1/-2", "\uff11",
+                "\u0661/2", "1\n", "1/2\n"):
         with pytest.raises(SchemaError):
             parse_rational(bad)
 
@@ -199,6 +201,13 @@ def test_load_json_reports_syntax_errors(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(SchemaError):
+        load_json(str(path))
+
+
+def test_load_json_refuses_nesting_past_the_parser_depth(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(SchemaError, match="nested too deeply"):
         load_json(str(path))
 
 
