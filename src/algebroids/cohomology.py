@@ -236,25 +236,32 @@ def _coboundary_rows(L: LocalSystem, n: int):
             yield row
 
 
+def _apply_rows(L: LocalSystem, n: int, vec: Sequence):
+    """d_n applied to ``vec``, one entry per row of ``_coboundary_rows``: an
+    entry 1 or -1 adds or subtracts its coordinate, multiplying nothing."""
+    for row in _coboundary_rows(L, n):
+        terms = [vec[j] if x == 1 else -vec[j] if x == -1 else x * vec[j] for j, x in row.items()]
+        yield sum(terms[1:], terms[0])
+
+
 def coboundary(phi: TwistedCochain) -> TwistedCochain:
     """d phi, the rows of d_n applied to phi's vector.  With no
     (n+1)-simplices d phi is the empty cochain, and no vector is built."""
     L, n = phi.system, phi.degree
     if not L.base.simplices_of_dim(n + 1):
         return TwistedCochain._trusted(L, n + 1, {})
-    vec = phi.vector()
-    out = [sum(x * vec[j] for j, x in row.items()) for row in _coboundary_rows(L, n)]
+    out = list(_apply_rows(L, n, phi.vector()))
     return TwistedCochain._trusted(L, n + 1, _by_simplex(L, n + 1, out))
 
 
 def is_flat_section(phi: TwistedCochain) -> bool:
-    """Whether a 0-cochain is flat, ``coboundary(phi).is_zero()``: computed
-    once per cochain and kept on it, as ``check_flat`` keeps its own on a
-    system.  The representatives of an H^0 space start out flat."""
+    """Whether a 0-cochain is flat, ``coboundary(phi).is_zero()`` up to its
+    first nonzero entry, kept on the cochain as ``check_flat`` keeps its own
+    on a system.  The representatives of an H^0 space start out flat."""
     if phi.degree != 0:
         raise DegreeError("a flat section is a 0-cochain")
     if phi._flat is None:
-        phi._flat = coboundary(phi).is_zero()
+        phi._flat = not any(_apply_rows(phi.system, 0, phi.vector()))
     return phi._flat
 
 
@@ -285,7 +292,7 @@ def _flat_sections(L: LocalSystem) -> dict:
     matrix is built.  The rows of the blocks go into one echelon, and once
     it has rank R only zero is fixed.  Any basis of the fixed space extends
     to a basis of H^0, and the free-column form of a span is unique."""
-    base, r = L.base, L.rank
+    r = L.rank
     down, loops = _tree_gauge(L)
     ident = Matrix.identity(r)
     fixed = _RowSpace()
@@ -298,10 +305,7 @@ def _flat_sections(L: LocalSystem) -> dict:
                     return {}
     sections = []
     for x in _dense(_kernel_tails(fixed.reduced_rows(), r), r):
-        values = []
-        for v in range(base.vertex_count):
-            values.extend(_act(down[v], x))
-        sections.append(values)
+        sections.append([y for v in range(L.base.vertex_count) for y in _act(down[v], x)])
     return _span_tails(sections)
 
 
@@ -521,11 +525,7 @@ def untwisted_class(phi: TwistedCochain) -> CohomologyClass:
 
 
 def _perm_sign(seq) -> int:
-    inversions = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
     return -1 if inversions % 2 else 1
 
 

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -307,12 +308,14 @@ def _patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
-def test_chern_weil_walks_a_callers_section_once(run, monkeypatch):
+def test_chern_weil_walks_a_callers_section_once_per_nonidentity_edge(run, monkeypatch):
     """A rank-3 query walks none of its sections: they are the
     representatives of an H^0 space, flat when built.  A section a caller
-    builds is walked once, in one pass over the rows of d_0, and is refused
-    when it is not flat.  The flatness law multiplies no triple with an
-    identity factor."""
+    builds is walked once, in one pass over the rows of d_0 that multiplies
+    each entry of an edge transport other than 0, 1 and -1 once and no
+    entry of an identity transport, and is refused when it is not flat,
+    stopping at the first nonzero row.  The flatness law multiplies no
+    triple with an identity factor."""
     cohomology = sys.modules["algebroids.cohomology"]
     local_systems = sys.modules["algebroids.local_systems"]
 
@@ -366,17 +369,35 @@ def test_chern_weil_walks_a_callers_section_once(run, monkeypatch):
     c = resolve_complex_spec("builtin:torus4x4")
     L = representation_from_json(c, load_json(str(rep)))
     A = make_algebroid(L, cochain_from_json(L, load_json(str(omega))))
+    factors = []  # the row entry of each product taken while a section is walked
+    fraction_mul = Fraction.__mul__
+
+    def counting_fraction_mul(a, b):
+        if frames and frames[-1][0] is applied:
+            factors.append(a)
+        return fraction_mul(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", counting_fraction_mul)
     for k in (1, 2):
         built = invariant_sections(A, k).representatives[0]
         section = TwistedCochain(built.system, 0, built.values)
-        del applied[:]
+        moved = [built.system.matrix(*e) for e in c.edges]
+        moved = [t for t in moved if not t.is_identity()]
+        entries = [x for t in moved for row in t.entries for x in row if x not in (0, 1, -1)]
+        assert 0 < len(moved) < len(c.edges) and entries
+        del applied[:], factors[:]
         assert chern_weil(A, section, k) == chern_weil(A, section, k) == chern_weil(A, built, k)
         walks = [degrees for degrees in applied if degrees]
         assert len(applied) == 3 and walks == [[0]]
-        values = dict(built.values)
-        values[(5,)] = tuple(x + 1 for x in values[(5,)])
-        with pytest.raises(NotInvariantError):
-            chern_weil(A, TwistedCochain(built.system, 0, values), k)
+        assert sorted(factors) == sorted(entries)
+        for vertex in (5, 0):
+            values = dict(built.values)
+            values[(vertex,)] = tuple(x + 1 for x in values[(vertex,)])
+            del factors[:]
+            with pytest.raises(NotInvariantError):
+                chern_weil(A, TwistedCochain(built.system, 0, values), k)
+        # moving the first vertex makes the first row nonzero
+        assert len(factors) < len(entries)
 
 
 def test_chern_weil_builds_no_cup_power_for_a_zero_target(run, monkeypatch):

@@ -2,7 +2,8 @@
 
 Seeded commuting holonomies of four kinds (trivial, unipotent, diagonal
 with some eigenvalues 1, and generic), conjugated by a random frame and
-gauged at random, on tori from 3x3 to 8x8 and on circles.  The oracle's
+gauged at random, on tori from 3x3 to 8x8 and on circles.  At rank 1 the
+only unipotent matrix is the identity, so that kind is left out there.  The oracle's
 cost does not grow with the grid, so it checks sizes the dense reference
 cannot reach.
 """
@@ -28,9 +29,16 @@ from group_cohomology import group_cohomology_dims
 KINDS = ("trivial", "unipotent", "partial", "generic")
 
 
+def _kinds(rank) -> tuple:
+    """The kinds that give distinct systems at this rank."""
+    return tuple(k for k in KINDS if rank > 1 or k != "unipotent")
+
+
 def _commuting_images(rng, kind, rank) -> tuple:
     """Two commuting invertible matrices of one kind, in a random frame:
-    generic ones have no eigenvalue 1, so they fix no vector."""
+    generic ones have no eigenvalue 1, so they fix no vector, and partial
+    ones scale the first vector by 2, so at rank 1 too they are not both
+    the identity."""
     one = Fraction(1)
     if kind == "trivial":
         pair = (Matrix.identity(rank),) * 2
@@ -40,7 +48,7 @@ def _commuting_images(rng, kind, rank) -> tuple:
         )
         pair = (jordan, jordan.power(-2))
     elif kind == "partial":
-        pair = (Matrix.diagonal([one, Fraction(2), one][:rank]),
+        pair = (Matrix.diagonal([Fraction(2), one, one][:rank]),
                 Matrix.diagonal([one, one, Fraction(-1, 3)][:rank]))
     else:
         pair = (Matrix.diagonal([2, 3, Fraction(1, 5)][:rank]),
@@ -63,7 +71,7 @@ def _system(c, kind, rank, seed):
 def test_torus_dims_match_the_group_cohomology(rows, cols, rank):
     c = torus_grid(rows, cols)
     seen = set()
-    for kind in KINDS:
+    for kind in _kinds(rank):
         L = _system(c, kind, rank, f"group:{rows}x{cols}:{rank}:{kind}")
         expected = group_cohomology_dims(L)
         assert tuple(cohomology(L, n).dimension for n in range(3)) == expected, kind
@@ -77,7 +85,7 @@ def test_torus_dims_match_the_group_cohomology(rows, cols, rank):
 @pytest.mark.parametrize("n", [3, 4, 7])
 def test_circle_dims_match_the_group_cohomology(n, rank):
     c = circle_model(n)
-    for kind in KINDS:
+    for kind in _kinds(rank):
         L = _system(c, kind, rank, f"group:circle{n}:{rank}:{kind}")
         expected = group_cohomology_dims(L)
         assert tuple(cohomology(L, k).dimension for k in range(2)) == expected, kind
