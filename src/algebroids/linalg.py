@@ -21,7 +21,9 @@ pivot at its row's rightmost nonzero, eliminated forward only.  Spans,
 membership, ranks and residues are read off it as it stands, and the
 canonical answers off its fully reduced rows (``_RowSpace.reduced_rows``),
 which are unique, so they are fixed by the input alone and not by the order
-of elimination.  ``rref``, ``kernel_basis``, ``solve``, ``Matrix.rank`` and
+of elimination.  The forward pass runs on Fractions; the back-reduction
+runs on integer rows, one denominator per row, and returns the same unique
+rows as Fractions.  ``rref``, ``kernel_basis``, ``solve``, ``Matrix.rank`` and
 ``Matrix.inverse`` give the form with leftmost pivots: they eliminate the
 rows with their columns reversed and mirror the reduced rows back.  A
 residue that vanishes on a given set of pivot columns is unique.
@@ -304,10 +306,6 @@ class Matrix:
         return _identity_matrix(n)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._trusted(tuple((_ZERO,) * cols for _ in range(rows)), cols)
-
-    @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
         n = len(values)
         return cls([[values[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
@@ -379,7 +377,8 @@ class Matrix:
         return self.entries[i][j]
 
     def rank(self) -> int:
-        # len(_RowSpace(...)) is faster, but bench/run.py's peak RSS grows with its answers
+        # len(_RowSpace(...)) is faster, but bench/run.py's peak RSS grows with
+        # its answers: rank stays on rref until ROADMAP item 1 fixes the harness
         return rref(self)[0]
 
     def inverse(self) -> "Matrix":
@@ -546,13 +545,43 @@ class _RowSpace:
         ascending order, and each row subtracts the already reduced rows at
         the other pivot columns it holds.  A reduced row is nonzero only at
         its pivot and left of it off the pivots, so a subtraction clears
-        its column and touches no other pivot entry: one pass is enough."""
+        its column and touches no other pivot entry: one pass is enough.
+
+        The subtractions run on integer rows, one denominator per row
+        (Bareiss 1968, "Sylvester's identity and multistep
+        integer-preserving Gaussian elimination"): a row with a pivot to
+        clear becomes its numerators over the lcm of its denominators, and
+        clearing pivot k with coefficient c gives num * den_k - c * num_k
+        over den * den_k, divided by the gcd of the new denominator and
+        numerators.  The pivot numerator stays equal to the denominator, so
+        the pivot entry stays 1.  Each finished row becomes Fractions once;
+        a row with no pivot to clear is copied as it is.  The reduced form
+        is unique, so these are the rows the Fraction subtractions give."""
         reduced = {}
+        integral = {}  # pivot -> (numerators, denominator) of its reduced row
         for p in sorted(self.echelon):
-            row = dict(self.echelon[p])
-            for k in [k for k in row if k in reduced]:
-                _subtract(row, row[k], reduced[k])
-            reduced[p] = row
+            row = self.echelon[p]
+            clear = [k for k in row if k in reduced]
+            if not clear:
+                reduced[p] = dict(row)
+                continue
+            num, den = _integral(row)
+            for k in clear:
+                if k not in integral:
+                    integral[k] = _integral(reduced[k])
+                num_k, den_k = integral[k]
+                c = num[k]
+                if den_k != 1:
+                    num = {j: x * den_k for j, x in num.items()}
+                    den *= den_k
+                _subtract(num, c, num_k)
+                if den != 1:
+                    g = math.gcd(den, *num.values())
+                    if g != 1:
+                        den //= g
+                        num = {j: x // g for j, x in num.items()}
+            integral[p] = num, den
+            reduced[p] = {j: Fraction(x, den) for j, x in num.items()}
         return reduced
 
     def within(self, tails: dict) -> bool:
@@ -569,6 +598,13 @@ class _RowSpace:
             if rest:
                 return False
         return True
+
+
+def _integral(row: dict) -> tuple:
+    """A ``{column: Fraction}`` row as ``({column: int}, den)``: the row is
+    the numerators over den, the lcm of its denominators."""
+    den = math.lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}, den
 
 
 def _leftmost_rows(rows, width: int) -> dict:

@@ -84,6 +84,10 @@ def two_spheres():
     return validate_complex(7, simplices)
 
 
+def zero_matrix(rows, cols):
+    return Matrix([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+
+
 def rand_fraction(rng, lo=-4, hi=4, nonzero=False):
     while True:
         q = Fraction(rng.randint(lo, hi), rng.randint(1, 3))

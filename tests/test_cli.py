@@ -778,6 +778,20 @@ def test_the_class_commands_answer_on_the_100x100_torus(argv, last_line):
     assert proc.stdout.splitlines()[-1] == last_line
 
 
+@pytest.mark.parametrize("argv, last_line", [
+    (("char-classes", "--rep", "a=6/5,b=-35/3"), "image dims: H1=2 H2=1"),
+    (("cohomology", "--rep", "a=1,b=1"), "H0=1 H1=2 H2=1"),
+])
+def test_the_30x30_torus_answers_in_bounded_memory_and_time(argv, last_line):
+    """A guard against entry growth or a hang in the integer back-reduction:
+    the rank of d_1 of the 30x30 torus is read off 1,799 reduced rows, out
+    of a forward echelon with 103,854 nonzeros, and both commands answer
+    under 1 GiB within a minute."""
+    proc = _limited_cli_process(*argv, "--complex", "builtin:torus30x30", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == last_line
+
+
 def test_a_huge_degree_answers_without_a_coboundary_per_degree():
     """Above the base dimension there are no cochains; --degree 10^6 used to
     build one empty coboundary per degree and took 5 s."""

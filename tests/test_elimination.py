@@ -14,6 +14,7 @@ Ranks are also checked against sympy, and the rank-based
 ``cohomology_dims`` against the dimensions of the spaces ``cohomology``
 builds.
 """
+import math
 import random
 from fractions import Fraction
 
@@ -28,9 +29,12 @@ from algebroids import (
     coboundary_matrix,
     cohomology,
     cohomology_dims,
+    dual,
+    from_representation,
     kernel_basis,
     rref,
     solve,
+    sym_power,
     torus_grid,
     trivial_system,
     zero_cochain,
@@ -41,10 +45,12 @@ from algebroids.linalg import _RowSpace, _dense, _kernel_tails, _leftmost_rows, 
 from conftest import (
     image_columns,
     rand_fraction,
+    rand_invertible_matrix,
     random_cochain,
     random_flat_system,
     random_gauge,
     two_spheres,
+    zero_matrix,
 )
 from dense_reference import (
     dense_kernel_basis,
@@ -73,7 +79,7 @@ def random_matrix(rng, kind):
         nrows, ncols = rng.choice([(0, small), (small, 0), (0, 0)])
         return Matrix([()] * nrows, cols=ncols)
     if kind == "zero":
-        return Matrix.zeros(small, big)
+        return zero_matrix(small, big)
     if kind == "tall":
         return Matrix(_rows(rng, big, small))
     if kind == "wide":
@@ -236,6 +242,80 @@ def test_reduced_rows_are_the_unique_dense_form_in_any_row_order():
                 assert row[p] == 1 and max(row) == p and all(row.values())
                 assert not row.keys() & (reduced.keys() - {p})
             rng.shuffle(rows)
+
+
+def _coprime_denominators(count):
+    """The first ``count`` integers above 2^31 coprime to every one before."""
+    dens = []
+    d = 2**31
+    while len(dens) < count:
+        d += 1
+        if all(math.gcd(d, e) == 1 for e in dens):
+            dens.append(d)
+    return dens
+
+
+def _hard_rows(rng, dens):
+    """Sparse rows of entries up to 2^64 of both signs over pairwise coprime
+    denominators above 2^31, with single-entry rows and rows equal up to
+    scale mixed in: 9 columns, so the dense reference stays cheap."""
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**64), rng.choice(dens))
+
+    cols = 9
+    rows = [[entry() if rng.random() < 0.6 else Fraction(0) for _ in range(cols)] for _ in range(5)]
+    for _ in range(3):
+        single = [Fraction(0)] * cols
+        single[rng.randrange(cols)] = entry()
+        rows.append(single)
+    for _ in range(2):
+        f = entry()
+        rows.append([f * x for x in rng.choice(rows)])
+    rng.shuffle(rows)
+    return rows, cols
+
+
+def _sym2_dual_blocks():
+    """The transport blocks of Sym^2 of the dual of a gauged rank-3 system
+    with a unipotent pair conjugated by a random frame, 6 x 6 each, as they
+    stand and minus the identity (nilpotent, so rank deficient)."""
+    rng = random.Random("hard:sym2-dual")
+    one = Fraction(1)
+    jordan = Matrix([[one if j in (i, i + 1) else 0 for j in range(3)] for i in range(3)])
+    p = rand_invertible_matrix(rng, 3)
+    images = {"a": p * jordan * p.inverse(), "b": p * jordan.power(-2) * p.inverse()}
+    L = random_gauge(rng, from_representation(torus_grid(3, 3), images, rank=3))
+    S = sym_power(dual(L), 2)
+    for e in sorted(S.transport)[:6]:
+        m = S.transport[e]
+        yield [list(row) for row in m.entries], m.cols
+        yield [list(row) for row in (m - Matrix.identity(m.rows)).entries], m.cols
+
+
+def test_reduced_rows_on_hard_entries_are_the_dense_form_and_leave_the_echelon_alone():
+    """The back-reduction runs on integer rows over one denominator each.
+    On huge coprime denominators, huge numerators, single-entry rows, rows
+    equal up to scale and gauged Sym^2-of-dual blocks it must still give
+    the mirrored dense reduced rows, with nonzero Fraction values and a
+    pivot entry of exactly 1, and two calls must agree and leave the
+    forward echelon as it was: no returned row is an echelon row."""
+    dens = _coprime_denominators(5)
+    inputs = [_hard_rows(random.Random(f"hard:{seed}"), dens) for seed in range(6)]
+    inputs += list(_sym2_dual_blocks())
+    for rows, cols in inputs:
+        space = _RowSpace(rows)
+        before = {p: dict(row) for p, row in space.echelon.items()}
+        first = space.reduced_rows()
+        assert first == _dense_rightmost_rows(rows, cols)
+        for p, row in first.items():
+            assert all(type(x) is Fraction and x for x in row.values())
+            assert type(row[p]) is Fraction and row[p] == 1
+            assert row is not space.echelon[p]
+        for row in first.values():
+            row.clear()
+        assert space.echelon == before
+        assert space.reduced_rows() == _dense_rightmost_rows(rows, cols)
+        assert space.echelon == before
 
 
 def _sparse_coboundaries():

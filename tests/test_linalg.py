@@ -19,13 +19,13 @@ from algebroids import (
 )
 from algebroids.local_systems import MAX_SYM_RANK
 
-from conftest import rand_invertible_matrix
+from conftest import rand_invertible_matrix, zero_matrix
 
 
 def test_matrix_identity_and_zeros():
     i2 = Matrix.identity(2)
     assert i2.is_identity()
-    assert Matrix.zeros(2, 3).is_zero()
+    assert zero_matrix(2, 3).is_zero()
     assert i2 * i2 == i2
 
 
@@ -51,10 +51,10 @@ def test_identities_up_to_the_largest_fiber_are_shared(monkeypatch):
 
 @pytest.mark.parametrize("rows, cols", [(0, 5), (5, 0), (0, 0), (2, 3)])
 def test_transpose_swaps_the_shape_of_degenerate_matrices(rows, cols):
-    t = Matrix.zeros(rows, cols).transpose()
+    t = zero_matrix(rows, cols).transpose()
     assert (t.rows, t.cols) == (cols, rows)
-    assert t == Matrix.zeros(cols, rows)
-    assert t.transpose() == Matrix.zeros(rows, cols)
+    assert t == zero_matrix(cols, rows)
+    assert t.transpose() == zero_matrix(rows, cols)
 
 
 def test_matrix_shapes_are_checked():
